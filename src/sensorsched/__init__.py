@@ -14,9 +14,8 @@ from .analysis import (DiscountComparison, StabilityReport, abel_comparison,
 from .channel import (ChannelModel, ChannelState, channel_reset, channel_step,
                       spawn_channel_rngs, stationary_success_prob)
 from .dqn import (AgentState, DqnConfig, EpisodeRecord, ReplayBuffer,
-                  act_epsilon_greedy, compute_targets, greedy_policy_from,
-                  init_agent, scheduling_policy_from, train, train_step,
-                  write_curve_csv)
+                  act_epsilon_greedy, compute_targets, init_agent,
+                  scheduling_policy_from, train, train_step, write_curve_csv)
 from .environment import (EnvState, SchedAction, SchedulingEnv, Transition,
                           action_count, action_decode, action_encode,
                           env_reset, env_step, observation_build)

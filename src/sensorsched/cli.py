@@ -17,6 +17,7 @@ import sys
 
 from . import dqn, harness
 from .analysis import stability_check
+from .environment import action_count
 from .errors import (GenerationError, NumericalError, PersistenceError,
                      TrainingDivergedError)
 from .neural import load_weights, save_weights
@@ -39,6 +40,13 @@ def _default_seed():
     except ValueError:
         raise PersistenceError(
             f"{SEED_ENV_VAR}={value!r} is not an integer") from None
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_config(path, seed_override=None):
@@ -97,6 +105,12 @@ def _cmd_eval(args):
         if args.weights is None:
             raise PersistenceError("--policy dqn requires --weights")
         weights = load_weights(args.weights)
+        n, m = scenario.n_sensors, scenario.n_channels
+        needed = (2 * n + m, action_count(n, m))
+        if (weights.layer_sizes[0], weights.n_outputs) != needed:
+            raise PersistenceError(
+                f"{args.weights}: layer sizes {weights.layer_sizes}; this "
+                f"scenario needs {needed[0]} inputs and {needed[1]} outputs")
     policy = harness.make_policy(args.policy, scenario, weights=weights)
     report = harness.evaluate_policy(scenario, policy, args.steps,
                                      seed=seed, name=args.policy)
@@ -168,7 +182,7 @@ def build_parser():
     ev.add_argument("--scenario", required=True)
     ev.add_argument("--policy", required=True, choices=POLICY_NAMES)
     ev.add_argument("--weights", default=None)
-    ev.add_argument("--steps", type=int, default=50_000)
+    ev.add_argument("--steps", type=_positive_int, default=50_000)
     ev.add_argument("--seed", type=int, default=None)
     ev.add_argument("--out", default=None, help="write the report as JSON")
     ev.set_defaults(func=_cmd_eval)
@@ -179,7 +193,7 @@ def build_parser():
     cmp_.add_argument("--config", default=None)
     cmp_.add_argument("--out", required=True, help="CSV path for the table")
     cmp_.add_argument("--curve-out", default=None)
-    cmp_.add_argument("--eval-steps", type=int, default=50_000)
+    cmp_.add_argument("--eval-steps", type=_positive_int, default=50_000)
     cmp_.add_argument("--seed", type=int, default=None)
     cmp_.add_argument("--no-ablation", action="store_true")
     cmp_.add_argument("--timing", action="store_true")

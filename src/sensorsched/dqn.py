@@ -30,43 +30,48 @@ from .neural import (LrSchedule, MlpParams, adam_update, init_adam, init_mlp,
 
 
 class ReplayBuffer:
-    """Bounded FIFO transition store with uniform sampling (with replacement)."""
+    """Bounded FIFO transition store with uniform sampling (with replacement):
+    one column per Transition field, allocated on the first add, with the
+    k-th add in row k % capacity.  Reads return a Transition of row arrays."""
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._items = []
-        self._next = 0  # overwrite position once full
+        self._columns = None
+        self._added = 0
 
     def __len__(self):
-        return len(self._items)
+        return min(self._added, self.capacity)
 
     def add(self, transition):
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._next] = transition
-            self._next = (self._next + 1) % self.capacity
+        if self._columns is None:
+            rows, width = self.capacity, len(transition.s)
+            self._columns = Transition(
+                s=np.empty((rows, width)), a=np.empty(rows, dtype=np.int64),
+                r=np.empty(rows), s_next=np.empty((rows, width)))
+        row = self._added % self.capacity
+        self._columns.s[row] = transition.s
+        self._columns.a[row] = transition.a
+        self._columns.r[row] = transition.r
+        self._columns.s_next[row] = transition.s_next
+        self._added += 1
+
+    def _rows(self, idx):
+        cols = self._columns
+        return Transition(s=cols.s[idx], a=cols.a[idx], r=cols.r[idx],
+                          s_next=cols.s_next[idx])
 
     def latest(self):
-        if not self._items:
+        """The most recent transition as a batch of one."""
+        if not len(self):
             raise IndexError("buffer is empty")
-        if len(self._items) < self.capacity:
-            return self._items[-1]
-        return self._items[self._next - 1]
+        return self._rows([(self._added - 1) % self.capacity])
 
     def sample(self, batch_size, rng):
-        if not self._items:
+        if not len(self):
             raise IndexError("cannot sample from an empty buffer")
-        idx = rng.integers(len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
-
-    def snapshot(self):
-        """Contents in insertion order, oldest first."""
-        if len(self._items) < self.capacity:
-            return list(self._items)
-        return self._items[self._next:] + self._items[:self._next]
+        return self._rows(rng.integers(len(self), size=batch_size))
 
 
 @dataclass
@@ -144,10 +149,8 @@ def act_epsilon_greedy(agent, obs, rng):
 
 def compute_targets(target_params, batch, discount):
     """One-step bootstrapped targets r + discount * max_a' Q(s', a')."""
-    s_next = np.stack([t.s_next for t in batch])
-    rewards = np.array([t.r for t in batch])
-    q_next = mlp_forward(target_params, s_next)
-    targets = rewards + discount * q_next.max(axis=1)
+    q_next = mlp_forward(target_params, batch.s_next)
+    targets = batch.r + discount * q_next.max(axis=1)
     if not np.all(np.isfinite(targets)):
         raise NumericalError("non-finite bootstrapped targets")
     return targets
@@ -171,11 +174,9 @@ def train_step(agent, env, buffer, obs, config, sched, rng_action, rng_batch):
         if config.use_replay:
             batch = buffer.sample(config.minibatch_size, rng_batch)
         else:
-            batch = [buffer.latest()]
+            batch = buffer.latest()
         targets = compute_targets(agent.target, batch, config.discount)
-        inputs = np.stack([t.s for t in batch])
-        actions = np.array([t.a for t in batch])
-        _, grads = loss_and_gradient(agent.online, inputs, actions, targets)
+        _, grads = loss_and_gradient(agent.online, batch.s, batch.a, targets)
         adam_update(agent.online, grads, agent.opt, sched)
 
     agent.global_step += 1
@@ -258,22 +259,14 @@ def fold_observation_scaling(params, scenario):
     return folded
 
 
-def greedy_policy_from(params):
-    """Deterministic policy: argmax of the network, ties to lowest index."""
-    def choose(obs):
-        return int(np.argmax(mlp_forward(params, obs)))
-    return choose
-
-
 def scheduling_policy_from(params, scenario):
-    """Wrap trained weights as a (state, rng) -> SchedAction policy."""
+    """Greedy (state, rng) -> SchedAction policy, ties to the lowest index."""
     n = len(scenario.processes)
     m = len(scenario.channels)
-    choose = greedy_policy_from(params)
 
     def policy(state, rng):
         obs = observation_build(state, scenario)
-        return action_decode(choose(obs), n, m)
+        return action_decode(int(np.argmax(mlp_forward(params, obs))), n, m)
     return policy
 
 

@@ -79,9 +79,9 @@ def scenario_generate(n_sensors, n_channels, seed, require_stable=True,
     Each attempt uses its own RNG substream, so the accepted scenario is a
     pure function of the seed regardless of how many draws were rejected.
     """
-    if n_channels > n_sensors:
-        raise GenerationError(
-            f"need n_channels <= n_sensors, got {n_channels} > {n_sensors}")
+    if not 1 <= n_channels <= n_sensors:
+        raise GenerationError(f"need 1 <= n_channels <= n_sensors, got "
+                              f"{n_channels} channels, {n_sensors} sensors")
     children = np.random.SeedSequence(seed).spawn(max_attempts)
     for attempt in range(max_attempts):
         rng = np.random.Generator(np.random.Philox(children[attempt]))
@@ -204,6 +204,8 @@ def evaluate_policy(scenario, policy, steps, seed=0, name="policy"):
     A cost overflow (unbounded covariance) stops the run and reports +inf
     together with the step at which it happened.
     """
+    if steps < 1:
+        raise ValueError(f"need steps >= 1, got {steps}")
     ss_chan, ss_policy = np.random.SeedSequence(seed).spawn(2)
     chan_rngs = spawn_channel_rngs(ss_chan, scenario.n_channels)
     policy_rng = np.random.Generator(np.random.Philox(ss_policy))

@@ -20,37 +20,47 @@ from .errors import ChecksumError, MalformedFileError, NumericalError, \
 _MAGIC = b"QNET"
 _VERSION = 1
 _ACTIVATION = "relu"
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
-@dataclass
 class MlpParams:
-    """layers[l] = (W, b) with W shaped (fan_in, fan_out)."""
-    layers: list
+    """All weights and biases in one float64 vector ``flat``, W then b per
+    layer, row-major; ``layers[l] = (W, b)`` are views, W (fan_in, fan_out)."""
 
-    @property
-    def layer_sizes(self):
-        sizes = [self.layers[0][0].shape[0]]
-        sizes.extend(w.shape[1] for w, _ in self.layers)
-        return tuple(sizes)
+    def __init__(self, layer_sizes, flat=None):
+        self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        shapes = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        total = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+        self.flat = np.zeros(total) if flat is None else flat
+        if self.flat.shape != (total,):
+            raise ValueError(f"flat shape {self.flat.shape}, need ({total},)")
+        self.layers = []
+        off = 0
+        for fan_in, fan_out in shapes:
+            end = off + fan_in * fan_out
+            self.layers.append((self.flat[off:end].reshape(fan_in, fan_out),
+                                self.flat[end:end + fan_out]))
+            off = end + fan_out
 
     @property
     def n_outputs(self):
-        return self.layers[-1][0].shape[1]
+        return self.layer_sizes[-1]
 
     def copy(self):
-        return MlpParams([(w.copy(), b.copy()) for w, b in self.layers])
+        return MlpParams(self.layer_sizes, self.flat.copy())
 
 
 def init_mlp(layer_sizes, rng):
     """Glorot-uniform weights, zero biases."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    layers = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        layers.append((w, np.zeros(fan_out)))
-    return MlpParams(layers)
+    params = MlpParams(layer_sizes)
+    for w, _ in params.layers:
+        bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _forward_cached(params, x):
@@ -84,7 +94,7 @@ def loss_and_gradient(params, inputs, actions, targets):
     """Mean squared error on the selected outputs, with full backprop.
 
     inputs: (B, d); actions: (B,) int indices; targets: (B,) floats.
-    Returns (loss, grads) with grads structured like params.layers.
+    Returns (loss, grads) with grads an MlpParams shaped like params.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
@@ -108,10 +118,12 @@ def loss_and_gradient(params, inputs, actions, targets):
 
     d_z = np.zeros_like(out)
     d_z[rows, actions] = 2.0 * diff / batch
-    grads = [None] * len(params.layers)
+    grads = MlpParams(params.layer_sizes)
     for l in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[l]
-        grads[l] = (acts[l].T @ d_z, d_z.sum(axis=0))
+        gw, gb = grads.layers[l]
+        np.matmul(acts[l].T, d_z, out=gw)
+        d_z.sum(axis=0, out=gb)
         if l > 0:
             d_z = (d_z @ w.T) * (pres[l - 1] > 0.0)
     return loss, grads
@@ -133,19 +145,13 @@ class LrSchedule:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     timestep: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params, beta1=0.9, beta2=0.999, eps=1e-8):
-    def zeros():
-        return [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
-    return AdamState(m=zeros(), v=zeros(), timestep=0,
-                     beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params):
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_update(params, grads, opt, sched):
@@ -153,16 +159,14 @@ def adam_update(params, grads, opt, sched):
     pre-increment timestep, so the very first update uses alpha0."""
     rate = sched.rate(opt.timestep)
     t = opt.timestep + 1
-    c1 = 1.0 - opt.beta1 ** t
-    c2 = 1.0 - opt.beta2 ** t
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(
-            params.layers, grads, opt.m, opt.v):
-        for theta, g, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * g
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * np.square(g)
-            theta -= rate * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
+    g = grads.flat
+    opt.m *= _BETA1
+    opt.m += (1.0 - _BETA1) * g
+    opt.v *= _BETA2
+    opt.v += (1.0 - _BETA2) * np.square(g)
+    params.flat -= rate * (opt.m / c1) / (np.sqrt(opt.v / c2) + _EPS)
     opt.timestep = t
     return params, opt
 
@@ -177,9 +181,7 @@ def save_weights(params, path):
     body += struct.pack("<I", len(name)) + name
     body += struct.pack("<I", len(sizes))
     body += struct.pack(f"<{len(sizes)}I", *sizes)
-    for w, b in params.layers:
-        body += np.ascontiguousarray(w, dtype=np.float64).tobytes()
-        body += np.ascontiguousarray(b, dtype=np.float64).tobytes()
+    body += params.flat.tobytes()
     crc = zlib.crc32(body) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(_MAGIC + body + struct.pack("<I", crc))
@@ -210,27 +212,16 @@ def load_weights(path):
         raise VersionMismatchError(
             f"{path}: format version {version}, supported: {_VERSION}")
     (name_len,) = take("<I")
-    if off + name_len > len(body):
-        raise MalformedFileError(f"{path}: truncated")
-    name = body[off:off + name_len].decode(errors="replace")
-    off += name_len
-    if name != _ACTIVATION:
-        raise MalformedFileError(f"{path}: unknown activation {name!r}")
+    (name,) = take(f"<{name_len}s")
+    if name != _ACTIVATION.encode():
+        raise MalformedFileError(f"{path}: unknown activation "
+                                 f"{name.decode(errors='replace')!r}")
     (n_sizes,) = take("<I")
     if n_sizes < 2:
         raise MalformedFileError(f"{path}: needs at least two layer sizes")
     sizes = take(f"<{n_sizes}I")
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        n_w, n_b = fan_in * fan_out, fan_out
-        if off + 8 * (n_w + n_b) > len(body):
-            raise MalformedFileError(f"{path}: truncated weight payload")
-        w = np.frombuffer(body, dtype=np.float64, count=n_w,
-                          offset=off).reshape(fan_in, fan_out).copy()
-        off += 8 * n_w
-        b = np.frombuffer(body, dtype=np.float64, count=n_b, offset=off).copy()
-        off += 8 * n_b
-        layers.append((w, b))
-    if off != len(body):
-        raise MalformedFileError(f"{path}: {len(body) - off} trailing bytes")
-    return MlpParams(layers)
+    try:
+        flat = np.frombuffer(body, dtype=np.float64, offset=off).copy()
+        return MlpParams(sizes, flat)
+    except ValueError as exc:
+        raise MalformedFileError(f"{path}: bad weight payload: {exc}") from exc

@@ -123,7 +123,8 @@ def test_criterion_02_backprop_matches_finite_differences():
         _, grads = loss_and_gradient(params, batch, actions, targets)
         eps = 1e-6
         for li, (w, b) in enumerate(params.layers):
-            for arr, g in [(w, grads[li][0]), (b, grads[li][1])]:
+            gw, gb = grads.layers[li]
+            for arr, g in [(w, gw), (b, gb)]:
                 flat, gflat = arr.reshape(-1), g.reshape(-1)
                 idx = rng.choice(flat.size, size=min(25, flat.size),
                                  replace=False)

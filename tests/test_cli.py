@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from sensorsched import load_scenario, load_weights
+from sensorsched import init_mlp, load_scenario, load_weights, save_weights
 from sensorsched.cli import (EXIT_GENERATION, EXIT_IO, EXIT_OK, SEED_ENV_VAR,
                              main)
 
@@ -37,6 +38,16 @@ class TestGenScenario:
         code = main(["gen-scenario", "--n", "2", "--m", "5",
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_GENERATION
+
+    @pytest.mark.parametrize("n, m", [(4, 0), (0, 0)])
+    def test_zero_channels_exits_generation_code(self, tmp_path, n, m,
+                                                 capsys):
+        out = tmp_path / "x.json"
+        code = main(["gen-scenario", "--n", str(n), "--m", str(m),
+                     "--out", str(out)])
+        assert code == EXIT_GENERATION
+        assert "n_channels" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_sets_default_seed(self, tmp_path, monkeypatch):
         a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
@@ -118,6 +129,26 @@ class TestEval:
                      "--policy", "dqn", "--steps", "100"])
         assert code == EXIT_IO
 
+    # the 4x2 scenario needs 10 inputs and 12 outputs
+    @pytest.mark.parametrize("sizes", [(8, 4, 6), (10, 4, 6), (8, 4, 12)])
+    def test_dqn_weights_of_another_shape_exit_io_code(
+            self, scenario_file, tmp_path, sizes, capsys):
+        wpath = tmp_path / "w.bin"
+        save_weights(init_mlp(sizes, np.random.default_rng(0)), wpath)
+        code = main(["eval", "--scenario", str(scenario_file),
+                     "--policy", "dqn", "--weights", str(wpath),
+                     "--steps", "100"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(sizes) in err and "10 inputs and 12 outputs" in err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_is_a_usage_error(self, scenario_file, steps):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--scenario", str(scenario_file),
+                  "--policy", "random", "--steps", steps])
+        assert info.value.code == 2
+
     def test_corrupted_scenario_exits_io_code(self, scenario_file):
         raw = json.loads(scenario_file.read_text())
         raw["seed"] = raw["seed"] + 1
@@ -156,6 +187,13 @@ class TestCompare:
         assert policies == ["random", "roundrobin", "greedy-tau",
                             "greedy-cov", "dqn", "dqn-ablated"]
         assert curve.exists()
+
+    def test_eval_steps_below_one_is_a_usage_error(self, scenario_file,
+                                                  tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--scenario", str(scenario_file),
+                  "--out", str(tmp_path / "t.csv"), "--eval-steps", "0"])
+        assert info.value.code == 2
 
     def test_no_ablation_flag(self, scenario_file, config_file, tmp_path):
         out = tmp_path / "table.csv"

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, DqnConfig, ProcessModel, ReplayBuffer,
                          SchedulingEnv, Transition, TrainingDivergedError,
-                         act_epsilon_greedy, compute_targets, init_agent,
-                         greedy_policy_from, scheduling_policy_from, train,
+                         act_epsilon_greedy, compute_targets, env_reset,
+                         init_agent, scheduling_policy_from, train,
                          train_step, write_curve_csv)
 from sensorsched.dqn import fold_observation_scaling
 from sensorsched.neural import LrSchedule, MlpParams
@@ -26,28 +28,39 @@ def params_equal(a, b):
                for (wa, ba), (wb, bb) in zip(a.layers, b.layers))
 
 
+def numbered(k):
+    """Transition k, with every field derived from k."""
+    return Transition(s=np.full(2, float(k)), a=k, r=-float(k),
+                      s_next=np.full(2, k + 1.0))
+
+
+def stored(buf):
+    """The set of action labels a long sample can draw."""
+    return set(buf.sample(2000, np.random.default_rng(0)).a.tolist())
+
+
 class TestReplayBuffer:
     def test_fifo_overwrite(self):
         buf = ReplayBuffer(5)
         for k in range(1, 9):
-            buf.add(k)
+            buf.add(numbered(k))
         assert len(buf) == 5
-        assert buf.snapshot() == [4, 5, 6, 7, 8]
-        assert buf.latest() == 8
+        assert stored(buf) == {4, 5, 6, 7, 8}
+        assert buf.latest().a.tolist() == [8]
 
     def test_latest_before_wraparound(self):
         buf = ReplayBuffer(5)
-        buf.add("a")
-        buf.add("b")
-        assert buf.latest() == "b"
-        assert buf.snapshot() == ["a", "b"]
+        buf.add(numbered(1))
+        buf.add(numbered(2))
+        assert buf.latest().a.tolist() == [2]
+        assert stored(buf) == {1, 2}
 
     def test_sampling_uniform_with_replacement(self):
         buf = ReplayBuffer(3)
         for k in range(3):
-            buf.add(k)
+            buf.add(numbered(k))
         rng = np.random.default_rng(0)
-        draws = buf.sample(6000, rng)
+        draws = buf.sample(6000, rng).a
         counts = np.bincount(draws, minlength=3)
         assert np.all(counts > 1700)  # roughly uniform
         assert len(draws) == 6000  # replacement: more draws than items
@@ -58,6 +71,22 @@ class TestReplayBuffer:
             buf.latest()
         with pytest.raises(IndexError):
             buf.sample(1, np.random.default_rng(0))
+
+    @settings(deadline=None, max_examples=60)
+    @given(capacity=st.integers(1, 8), adds=st.integers(1, 30))
+    def test_matches_list_model_fifo(self, capacity, adds):
+        buf = ReplayBuffer(capacity)
+        model = []
+        for k in range(adds):
+            buf.add(numbered(k))
+            model = (model + [k])[-capacity:]
+            assert len(buf) == len(model)
+            assert buf.latest().a.tolist() == [model[-1]]
+        assert stored(buf) == set(model)
+        batch = buf.sample(50, np.random.default_rng(1))
+        assert np.array_equal(batch.s[:, 0], batch.a)
+        assert np.array_equal(batch.r, -batch.a)
+        assert np.array_equal(batch.s_next[:, 1], batch.a + 1)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -94,7 +123,7 @@ class TestEpsilonSchedule:
 
 class TestActionSelection:
     def test_full_exploration_is_uniform(self):
-        agent_params = MlpParams([(np.zeros((3, 6)), np.zeros(6))])
+        agent_params = MlpParams((3, 6))
         agent = _FakeAgent(agent_params, epsilon=1.0)
         rng = np.random.default_rng(4)
         counts = np.bincount([act_epsilon_greedy(agent, np.zeros(3), rng)
@@ -102,23 +131,25 @@ class TestActionSelection:
         assert np.all(counts > 800)
 
     def test_zero_epsilon_is_argmax(self):
-        w = np.zeros((2, 4))
-        b = np.array([0.0, 3.0, -1.0, 2.0])
-        agent = _FakeAgent(MlpParams([(w, b)]), epsilon=0.0)
+        params = MlpParams((2, 4))
+        params.layers[0][1][:] = [0.0, 3.0, -1.0, 2.0]
+        agent = _FakeAgent(params, epsilon=0.0)
         rng = np.random.default_rng(0)
         assert act_epsilon_greedy(agent, np.zeros(2), rng) == 1
 
     def test_ties_break_to_lowest_index(self):
-        agent = _FakeAgent(MlpParams([(np.zeros((2, 4)), np.zeros(4))]),
-                           epsilon=0.0)
+        agent = _FakeAgent(MlpParams((2, 4)), epsilon=0.0)
         assert act_epsilon_greedy(agent, np.ones(2),
                                   np.random.default_rng(0)) == 0
 
-    def test_greedy_policy_wrapper_matches(self):
-        w = np.zeros((2, 4))
-        b = np.array([0.0, 3.0, -1.0, 2.0])
-        params = MlpParams([(w, b)])
-        assert greedy_policy_from(params)(np.zeros(2)) == 1
+    def test_greedy_policy_wrapper_matches(self, two_sensor_scenario):
+        # 2 sensors, 1 channel: 5 inputs, 2 actions; action 1 sends sensor 2
+        params = MlpParams((5, 2))
+        params.layers[0][1][:] = [0.0, 3.0]
+        policy = scheduling_policy_from(params, two_sensor_scenario)
+        action = policy(env_reset(two_sensor_scenario),
+                        np.random.default_rng(0))
+        assert action.assignment == (2,)
 
 
 class _FakeAgent:
@@ -131,19 +162,21 @@ class TestTargets:
     def test_manual_bellman_backup(self):
         # tabular net: one-hot states index rows of the weight matrix
         q_table = np.array([[1.0, 5.0], [2.0, 0.5]])
-        params = MlpParams([(q_table, np.zeros(2))])
+        params = MlpParams((2, 2))
+        params.layers[0][0][:] = q_table
         s0 = np.array([1.0, 0.0])
         s1 = np.array([0.0, 1.0])
-        batch = [Transition(s=s0, a=0, r=-3.0, s_next=s1),
-                 Transition(s=s1, a=1, r=1.0, s_next=s0)]
+        batch = Transition(s=np.array([s0, s1]), a=np.array([0, 1]),
+                           r=np.array([-3.0, 1.0]), s_next=np.array([s1, s0]))
         z = compute_targets(params, batch, discount=0.9)
         assert z[0] == pytest.approx(-3.0 + 0.9 * 2.0)
         assert z[1] == pytest.approx(1.0 + 0.9 * 5.0)
 
     def test_no_terminal_masking(self):
         # continuing task: every target bootstraps, nothing is truncated
-        params = MlpParams([(np.full((1, 1), 7.0), np.zeros(1))])
-        batch = [Transition(s=np.zeros(1), a=0, r=0.0, s_next=np.ones(1))]
+        params = MlpParams((1, 1), np.array([7.0, 0.0]))
+        batch = Transition(s=np.zeros((1, 1)), a=np.array([0]),
+                           r=np.array([0.0]), s_next=np.ones((1, 1)))
         z = compute_targets(params, batch, discount=0.5)
         assert z[0] == pytest.approx(3.5)
 

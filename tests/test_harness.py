@@ -69,6 +69,10 @@ class TestGeneration:
         with pytest.raises(GenerationError):
             scenario_generate(2, 3, seed=0)
 
+    def test_zero_channels_rejected(self):
+        with pytest.raises(GenerationError):
+            scenario_generate(4, 0, seed=0)
+
     def test_metadata_records_inputs(self):
         scn = scenario_generate(6, 3, seed=9)
         assert scn.seed == 9
@@ -206,6 +210,11 @@ class TestEvaluation:
                                name="greedy-tau").empirical_avg_cost
         mean, sd = np.mean(short), np.std(short, ddof=1)
         assert abs(long - mean) < 6 * sd
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, six_sensor_scenario, steps):
+        with pytest.raises(ValueError, match="steps"):
+            evaluate_policy(six_sensor_scenario, policy_random, steps)
 
     def test_make_policy_rejects_unknown(self, six_sensor_scenario):
         with pytest.raises(ValueError):

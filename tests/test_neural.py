@@ -6,15 +6,24 @@ rate); file-format failures are crafted byte by byte.
 """
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sensorsched import (AdamState, ChecksumError, LrSchedule,
                          MalformedFileError, MlpParams, NumericalError,
-                         VersionMismatchError, adam_update, init_adam,
-                         init_mlp, load_weights, loss_and_gradient,
+                         PersistenceError, VersionMismatchError, adam_update,
+                         init_adam, init_mlp, load_weights, loss_and_gradient,
                          mlp_forward, save_weights)
+
+layer_sizes = st.lists(st.integers(1, 6), min_size=2, max_size=4)
+# one temporary file is rewritten by every example of a file test
+file_settings = settings(
+    deadline=None, max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def numerical_gradient(params, inputs, actions, targets, h=1e-6):
@@ -60,8 +69,7 @@ class TestForward:
 
     def test_relu_hidden_layers(self):
         # one hidden unit, hand-run: relu(w x) * w2
-        params = MlpParams([(np.array([[2.0]]), np.array([0.0])),
-                            (np.array([[3.0]]), np.array([1.0]))])
+        params = MlpParams((1, 1, 1), np.array([2.0, 0.0, 3.0, 1.0]))
         assert mlp_forward(params, np.array([2.0]))[0] == 13.0
         assert mlp_forward(params, np.array([-2.0]))[0] == 1.0  # relu clamps
 
@@ -111,7 +119,7 @@ class TestGradients:
         targets = rng.standard_normal(batch)
         _, analytic = loss_and_gradient(params, inputs, actions, targets)
         numeric = numerical_gradient(params, inputs, actions, targets)
-        for (aw, ab), (nw, nb) in zip(analytic, numeric):
+        for (aw, ab), (nw, nb) in zip(analytic.layers, numeric):
             assert relative_error(aw, nw) < 1e-7
             assert relative_error(ab, nb) < 1e-7
 
@@ -134,7 +142,7 @@ class TestGradients:
         _, single = loss_and_gradient(params, x, a, t)
         _, stacked = loss_and_gradient(params, np.repeat(x, 6, axis=0),
                                        np.repeat(a, 6), np.repeat(t, 6))
-        for (sw, sb), (kw, kb) in zip(single, stacked):
+        for (sw, sb), (kw, kb) in zip(single.layers, stacked.layers):
             assert np.allclose(sw, kw, atol=1e-12)
             assert np.allclose(sb, kb, atol=1e-12)
 
@@ -144,7 +152,7 @@ class TestGradients:
         actions = np.array([1, 3])
         targets = np.array([0.0, 0.0])
         _, grads = loss_and_gradient(params, inputs, actions, targets)
-        gw_out, gb_out = grads[-1]
+        gw_out, gb_out = grads.layers[-1]
         untouched = [0, 2, 4]
         assert np.all(gw_out[:, untouched] == 0.0)
         assert np.all(gb_out[untouched] == 0.0)
@@ -179,13 +187,48 @@ class TestSchedule:
             LrSchedule(alpha0=1e-4, decay=-1.0)
 
 
+def reference_adam_step(layers, grads, moments, rate, t):
+    """Adam with beta1 0.9, beta2 0.999 and eps 1e-8, applied one layer
+    tensor at a time: an independent reference for the flat update."""
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
+    for theta, g, (m, v) in zip(layers, grads, moments):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * np.square(g)
+        theta -= rate * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
 class TestAdam:
+    @settings(deadline=None, max_examples=50)
+    @given(sizes=layer_sizes, seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(1, 5))
+    def test_flat_update_matches_per_layer_reference(self, sizes, seed,
+                                                     steps):
+        rng = np.random.default_rng(seed)
+        params = init_mlp(sizes, rng)
+        reference = [t.copy() for pair in params.layers for t in pair]
+        moments = [(np.zeros_like(t), np.zeros_like(t)) for t in reference]
+        opt = init_adam(params)
+        sched = LrSchedule(alpha0=1e-2, decay=1e-3)
+        for t in range(1, steps + 1):
+            grads = MlpParams(sizes, rng.standard_normal(params.flat.size))
+            rate = sched.rate(opt.timestep)
+            adam_update(params, grads, opt, sched)
+            reference_adam_step(reference, [g for pair in grads.layers
+                                            for g in pair], moments, rate, t)
+        got = [t for pair in params.layers for t in pair]
+        for a, b in zip(got, reference):
+            assert np.array_equal(a, b)
+
     def test_constant_gradient_step_approaches_rate(self, rng):
-        params = MlpParams([(np.zeros((2, 2)), np.zeros(2))])
+        params = MlpParams((2, 2))
         opt = init_adam(params)
         sched = LrSchedule(alpha0=1e-3, decay=0.0)
-        g = np.full((2, 2), 0.37)
-        grads = [(g, np.full(2, -1.4))]
+        grads = MlpParams((2, 2))
+        grads.layers[0][0][...] = 0.37
+        grads.layers[0][1][...] = -1.4
         for _ in range(400):
             before_w = params.layers[0][0].copy()
             adam_update(params, grads, opt, sched)
@@ -196,10 +239,11 @@ class TestAdam:
         assert np.all(params.layers[0][1] > 0.0)
 
     def test_first_step_uses_alpha0(self):
-        params = MlpParams([(np.zeros((1, 1)), np.zeros(1))])
+        params = MlpParams((1, 1))
         opt = init_adam(params)
         sched = LrSchedule(alpha0=1e-4, decay=1e-3)
-        adam_update(params, [(np.array([[2.0]]), np.array([0.0]))], opt, sched)
+        adam_update(params, MlpParams((1, 1), np.array([2.0, 0.0])), opt,
+                    sched)
         # bias-corrected first step is -alpha0 * g/|g| up to eps
         assert params.layers[0][0][0, 0] == pytest.approx(-1e-4, rel=1e-6)
         assert opt.timestep == 1
@@ -208,9 +252,8 @@ class TestAdam:
         params = init_mlp((3, 4, 2), rng)
         opt = init_adam(params)
         assert isinstance(opt, AdamState)
-        for (w, b), (mw, mb), (vw, vb) in zip(params.layers, opt.m, opt.v):
-            assert mw.shape == w.shape and vw.shape == w.shape
-            assert mb.shape == b.shape and vb.shape == b.shape
+        assert opt.m.shape == params.flat.shape
+        assert opt.v.shape == params.flat.shape
 
 
 class TestPersistence:
@@ -252,6 +295,49 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(MalformedFileError):
             load_weights(path)
+
+    @file_settings
+    @given(sizes=layer_sizes, seed=st.integers(0, 2**32 - 1))
+    def test_file_layout_is_header_then_w_then_b(self, sizes, seed,
+                                                 tmp_path):
+        rng = np.random.default_rng(seed)
+        pairs = [(rng.standard_normal((fan_in, fan_out)),
+                  rng.standard_normal(fan_out))
+                 for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+        params = MlpParams(sizes)
+        for (w, b), (w_hand, b_hand) in zip(params.layers, pairs):
+            w[...] = w_hand
+            b[...] = b_hand
+        body = struct.pack("<II4sI", 1, 4, b"relu", len(sizes))
+        body += struct.pack(f"<{len(sizes)}I", *sizes)
+        for w_hand, b_hand in pairs:
+            body += w_hand.astype("<f8").tobytes()
+            body += b_hand.astype("<f8").tobytes()
+        path = tmp_path / "w.bin"
+        save_weights(params, path)
+        assert path.read_bytes() == (b"QNET" + body
+                                     + struct.pack("<I", zlib.crc32(body)))
+        for (w, b), (w_hand, b_hand) in zip(load_weights(path).layers, pairs):
+            assert np.array_equal(w, w_hand) and np.array_equal(b, b_hand)
+
+    @file_settings
+    @given(sizes=layer_sizes, data=st.data())
+    def test_corruption_raises_only_persistence_errors(self, sizes, data,
+                                                       tmp_path):
+        path = tmp_path / "w.bin"
+        save_weights(init_mlp(sizes, np.random.default_rng(0)), path)
+        body = path.read_bytes()[4:-4]
+        header = 16 + 4 * len(sizes)
+        start = data.draw(st.one_of(st.integers(0, header - 1),
+                                    st.integers(0, len(body))))
+        stop = data.draw(st.integers(start, min(start + 8, len(body))))
+        body = body[:start] + data.draw(st.binary(max_size=8)) + body[stop:]
+        path.write_bytes(b"QNET" + body
+                         + struct.pack("<I", zlib.crc32(body)))
+        try:
+            load_weights(path)
+        except PersistenceError:
+            pass
 
     def test_future_version_rejected(self, rng, tmp_path):
         import zlib

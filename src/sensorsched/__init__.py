@@ -23,11 +23,10 @@ from .errors import (ChecksumError, GenerationError, MalformedFileError,
                      NumericalError, PersistenceError,
                      RiccatiConvergenceError, SensorSchedError,
                      TrainingDivergedError, VersionMismatchError)
-from .estimation import (KalmanState, ProcessModel, SteadyStateCache,
-                         covariance_at_holding, is_controllable,
-                         is_observable, local_kalman_step,
+from .estimation import (ProcessModel, SteadyStateCache, TraceTable,
+                         is_controllable, is_observable,
                          propagate_covariance, remote_error_by_holding,
-                         remote_estimate_update, steady_state_covariance)
+                         steady_state_covariance)
 from .harness import (CompareRow, EvalReport, Scenario, compare_all,
                       evaluate_policy, load_scenario, make_policy,
                       save_scenario, scenario_generate, write_compare_csv,

@@ -23,7 +23,7 @@ from math import exp, inf, lgamma, log, log1p
 import numpy as np
 
 from .channel import ChannelState, channel_step, spawn_channel_rngs
-from .environment import env_reset, env_step
+from .environment import env_reset, env_step, total_trace
 
 
 def spectral_radius(A):
@@ -100,9 +100,7 @@ def threshold_policy_running_cost(scenario, threshold, steps, seed=0):
         tau += 1
         if transmitting and chan.gamma[best] == 1:
             tau[sender] = 0
-        cost = sum(cache.trace_at(int(t))
-                   for cache, t in zip(scenario.caches, tau))
-        cumulative += cost
+        cumulative += total_trace(scenario.traces.at(tau))
         running[k] = cumulative / (k + 1)
     return running
 

@@ -30,7 +30,7 @@ class ChannelState:
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=np.int64)
-        if g.ndim != 1 or not np.all((g == 0) | (g == 1)):
+        if g.ndim != 1 or not set(g.tolist()) <= {0, 1}:
             raise ValueError("gamma must be a 1-D array of 0/1 values")
         self.gamma = g
 
@@ -42,19 +42,19 @@ def channel_reset(models, good=True):
 
 
 def channel_step(models, state, rngs):
-    """Advance every chain one step.  rngs: one Generator per channel."""
+    """Advance every chain one step.  rngs: ChannelStreams, one per channel.
+
+    Channel m leaves its current state when its uniform falls below the
+    switching probability (p from good, q from bad).
+    """
     if not (len(models) == len(state.gamma) == len(rngs)):
         raise ValueError(
             f"got {len(models)} models, {len(state.gamma)} states, "
             f"{len(rngs)} rngs")
-    new = np.empty(len(models), dtype=np.int64)
-    for m, model in enumerate(models):
-        u = rngs[m].random()
-        if state.gamma[m] == 1:
-            new[m] = 0 if u < model.p else 1
-        else:
-            new[m] = 1 if u < model.q else 0
-    return ChannelState(new)
+    good = state.gamma
+    switch = np.array([c.p if g else c.q
+                       for c, g in zip(models, good.tolist())])
+    return ChannelState((rngs.draw() < switch) ^ good)
 
 
 def stationary_success_prob(model):
@@ -62,6 +62,36 @@ def stationary_success_prob(model):
     if model.p == 0.0 and model.q == 0.0:
         raise ValueError("p = q = 0 has no unique stationary distribution")
     return model.q / (model.p + model.q)
+
+
+# Uniforms drawn per channel at a time; Generator.random(k) returns the
+# same values as k scalar random() calls, so the block size changes no path.
+_BLOCK = 256
+
+
+class ChannelStreams:
+    """One uniform per channel per step, each channel from its own stream.
+
+    Each generator is read in blocks of ``_BLOCK`` draws; ``draw`` hands
+    out one row of the current block, so step k sees the k-th draw of
+    every channel's stream whatever the block size.
+    """
+
+    def __init__(self, generators):
+        self._generators = list(generators)
+        self._block = np.empty((0, len(self._generators)))
+        self._next = 0
+
+    def __len__(self):
+        return len(self._generators)
+
+    def draw(self):
+        if self._next == len(self._block):
+            self._block = np.stack(
+                [g.random(_BLOCK) for g in self._generators], axis=1)
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]
 
 
 def spawn_channel_rngs(seed, n_channels):
@@ -73,5 +103,5 @@ def spawn_channel_rngs(seed, n_channels):
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child))
-            for child in seed.spawn(n_channels)]
+    return ChannelStreams(np.random.Generator(np.random.Philox(child))
+                          for child in seed.spawn(n_channels))

@@ -17,7 +17,6 @@ import sys
 
 from . import dqn, harness
 from .analysis import stability_check
-from .environment import action_count
 from .errors import (GenerationError, NumericalError, PersistenceError,
                      TrainingDivergedError)
 from .neural import load_weights, save_weights
@@ -105,12 +104,6 @@ def _cmd_eval(args):
         if args.weights is None:
             raise PersistenceError("--policy dqn requires --weights")
         weights = load_weights(args.weights)
-        n, m = scenario.n_sensors, scenario.n_channels
-        needed = (2 * n + m, action_count(n, m))
-        if (weights.layer_sizes[0], weights.n_outputs) != needed:
-            raise PersistenceError(
-                f"{args.weights}: layer sizes {weights.layer_sizes}; this "
-                f"scenario needs {needed[0]} inputs and {needed[1]} outputs")
     policy = harness.make_policy(args.policy, scenario, weights=weights)
     report = harness.evaluate_policy(scenario, policy, args.steps,
                                      seed=seed, name=args.policy)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .environment import (SchedulingEnv, Transition, action_count,
                           action_decode, observation_build)
-from .errors import NumericalError, TrainingDivergedError
+from .errors import NumericalError, PersistenceError, TrainingDivergedError
 from .neural import (LrSchedule, MlpParams, adam_update, init_adam, init_mlp,
                      loss_and_gradient, mlp_forward)
 
@@ -254,15 +254,23 @@ def fold_observation_scaling(params, scenario):
     n = len(scenario.processes)
     if w0.shape[0] != 2 * n + len(scenario.channels):
         raise ValueError("network input width does not match the scenario")
-    for i, cache in enumerate(scenario.caches):
-        w0[n + i, :] /= cache.trace_at(1)
+    w0[n:2 * n] /= scenario.traces.at(np.ones(n, dtype=np.int64))[:, None]
     return folded
 
 
 def scheduling_policy_from(params, scenario):
-    """Greedy (state, rng) -> SchedAction policy, ties to the lowest index."""
+    """Greedy (state, rng) -> SchedAction policy, ties to the lowest index.
+
+    Raises PersistenceError if the network does not take this scenario's
+    2N + M observation or does not output its N!/(N-M)! actions.
+    """
     n = len(scenario.processes)
     m = len(scenario.channels)
+    needed = (2 * n + m, action_count(n, m))
+    if (params.layer_sizes[0], params.n_outputs) != needed:
+        raise PersistenceError(
+            f"weights with layer sizes {params.layer_sizes} do not fit this "
+            f"scenario: it needs {needed[0]} inputs and {needed[1]} outputs")
 
     def policy(state, rng):
         obs = observation_build(state, scenario)

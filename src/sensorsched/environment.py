@@ -16,7 +16,9 @@ action space of the learning agent dense and enumerable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import perm
+from operator import add
 
 import numpy as np
 
@@ -96,6 +98,16 @@ def env_reset(scenario):
                     step_index=0)
 
 
+def total_trace(traces):
+    """t_0 + t_1 + ... added left to right, as a Python float.
+
+    Costs are defined by this order of additions: np.sum adds pairwise and
+    builtin sum() compensates on Python 3.12+, so both can round
+    differently.
+    """
+    return reduce(add, traces.tolist(), 0.0)
+
+
 def env_step(scenario, state, action, chan_rngs):
     """One transition; returns (new state, reward).
 
@@ -114,12 +126,10 @@ def env_step(scenario, state, action, chan_rngs):
                             chan_rngs)
     gamma = new_chan.gamma
     tau = state.tau + 1
-    for chan, sensor in enumerate(assignment):
-        if gamma[chan] == 1:
+    for sensor, good in zip(assignment, gamma.tolist()):
+        if good:
             tau[sensor - 1] = 0
-    reward = 0.0
-    for i, cache in enumerate(scenario.caches):
-        reward -= cache.trace_at(int(tau[i]))
+    reward = 0.0 - total_trace(scenario.traces.at(tau))
     return EnvState(tau=tau, gamma_prev=gamma,
                     step_index=state.step_index + 1), reward
 
@@ -137,11 +147,9 @@ def observation_build(state, scenario, normalize=False):
     m = len(scenario.channels)
     obs = np.empty(2 * n + m, dtype=np.float64)
     obs[:n] = state.tau
-    for i, cache in enumerate(scenario.caches):
-        val = cache.trace_at(int(state.tau[i]) + 1)
-        if normalize:
-            val = val / cache.trace_at(1)
-        obs[n + i] = val
+    obs[n:2 * n] = scenario.traces.at(state.tau + 1)
+    if normalize:
+        obs[n:2 * n] /= scenario.traces.at(np.ones(n, dtype=np.int64))
     obs[2 * n:] = state.gamma_prev
     return obs
 

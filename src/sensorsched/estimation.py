@@ -16,8 +16,6 @@ only ever need traces of those compositions, which are cached per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import RiccatiConvergenceError
@@ -158,11 +156,19 @@ class SteadyStateCache:
     """Steady-state filter quantities plus cached open-loop trace powers.
 
     ``trace_powers[n]`` is tr of the n-fold open-loop propagation of
-    ``pbar``; the table grows lazily on demand.  For unstable dynamics the
-    entries can overflow float64, in which case every later entry is +inf
-    (a deliberate representation of an unbounded covariance, not an error).
-    Matrices are cached up to ``mat_cache_limit`` compositions; beyond that
-    only traces are kept so long starvation runs stay cheap on memory.
+    ``pbar``; the table grows lazily on demand until it freezes.  It
+    freezes when the propagation reaches a float64 fixed point (one more
+    step returns the same bits, so every later entry would repeat the last
+    one) or when the trace overflows float64, after which every entry is
+    +inf (a deliberate representation of an unbounded covariance, not an
+    error).  Past a frozen table's last entry, lookups return that entry
+    and append nothing.  Matrices are cached up to ``mat_cache_limit``
+    compositions; beyond that only traces are kept so long starvation runs
+    stay cheap on memory.
+
+    The traces live in one float64 row.  A TraceTable moves that row into
+    its own array, so the two never hold separate copies; a cache that
+    outgrows its row moves to a private one twice as long.
     """
 
     def __init__(self, model, pbar, kalman_gain, n_max=256,
@@ -171,47 +177,70 @@ class SteadyStateCache:
         self.pbar = _symmetrize(np.array(pbar, dtype=np.float64))
         self.kalman_gain = np.array(kalman_gain, dtype=np.float64)
         self._mat_cache_limit = int(mat_cache_limit)
-        self.trace_powers = [float(np.trace(self.pbar))]
         self._mats = [self.pbar]
-        self._tail = self.pbar
+        self._tail = self.pbar  # covariance at the last computed entry
         self._frozen = False
-        self._freeze_len = None  # first index whose trace overflowed
+        self._row = np.empty(int(n_max) + 1)
+        self._row[0] = np.trace(self.pbar)
+        self._len = 1
         self._grow(int(n_max))
+
+    @property
+    def trace_powers(self):
+        """The computed entries (a view; a frozen table ends at its last)."""
+        return self._row[:self._len]
 
     def _grow(self, n):
         A, W = self.model.A, self.model.W
-        while len(self.trace_powers) <= n:
-            if self._frozen:
-                self.trace_powers.append(np.inf)
-                continue
+        while self._len <= n and not self._frozen:
             with np.errstate(over="ignore", invalid="ignore"):
                 nxt = _symmetrize(A @ self._tail @ A.T + W)
             tr = float(np.trace(nxt))
-            if not np.isfinite(tr):
-                self._frozen = True
-                self._freeze_len = len(self.trace_powers)
-                self.trace_powers.append(np.inf)
-                continue
-            self._tail = nxt
-            self.trace_powers.append(tr)
-            if len(self._mats) < self._mat_cache_limit:
-                self._mats.append(nxt)
+            if nxt.tobytes() == self._tail.tobytes():
+                self._freeze()
+            elif not np.isfinite(tr):
+                self._tail = np.full_like(self.pbar, np.inf)
+                self._append(np.inf)
+                self._freeze()
+            else:
+                self._tail = nxt
+                self._append(tr)
+                if len(self._mats) < self._mat_cache_limit:
+                    self._mats.append(nxt)
+
+    def _append(self, tr):
+        if self._len == len(self._row):
+            self._move(np.empty(2 * self._len))
+        self._row[self._len] = tr
+        self._len += 1
+
+    def _freeze(self):
+        self._frozen = True
+        self._row[self._len:] = self._row[self._len - 1]
+
+    def _move(self, row):
+        """Copy the entries into ``row`` (padded if frozen) and keep it."""
+        row[:self._len] = self.trace_powers
+        if self._frozen:
+            row[self._len:] = row[self._len - 1]
+        self._row = row
 
     def trace_at(self, n):
         """tr of the covariance after holding time n (n = 0 gives tr pbar)."""
         if n < 0:
             raise ValueError(f"holding time must be >= 0, got {n}")
-        if n >= len(self.trace_powers):
+        if n >= self._len:
             self._grow(n)
-        return self.trace_powers[n]
+            n = min(n, self._len - 1)
+        return float(self._row[n])
 
     def cov_at(self, n):
         """Covariance matrix after holding time n."""
         if n < 0:
             raise ValueError(f"holding time must be >= 0, got {n}")
         self._grow(n)
-        if self._frozen and n >= self._freeze_len:
-            return np.full_like(self.pbar, np.inf)
+        if self._frozen and n >= self._len - 1:
+            return self._tail.copy()
         if n < len(self._mats):
             return self._mats[n].copy()
         mat = self._mats[-1]
@@ -220,9 +249,54 @@ class SteadyStateCache:
         return mat
 
 
-def covariance_at_holding(cache, tau):
-    """Error covariance at the remote estimator after tau missed deliveries."""
-    return cache.cov_at(tau)
+# Lookup limit of a frozen row: every holding time is in its padding.
+_UNLIMITED = np.iinfo(np.int64).max
+
+
+class TraceTable:
+    """The trace tables of N caches as the rows of one (N, L) float64 array.
+
+    Row i is ``caches[i]``'s own storage, not a copy: building the table
+    moves each cache's entries into its row, and the cache appends later
+    entries there.  A frozen row repeats its last entry out to column
+    L - 1, and holding times past that read column L - 1.  An unfrozen
+    row is valid up to its cache's length; L doubles only when such a row
+    runs out of room.  ``at`` reads all N traces in one lookup.  A cache
+    whose entries have moved elsewhere (it outgrew the row through its own
+    ``trace_at``, or joined another table) is taken back the next time
+    its row is short.  The caches hold no reference to the table.
+    """
+
+    def __init__(self, caches):
+        self.caches = list(caches)
+        self._index = np.arange(len(self.caches))
+        self._adopt(max((len(c._row) for c in self.caches), default=1))
+
+    def _adopt(self, width):
+        """Move every cache into a fresh array at least ``width`` wide."""
+        width = max([width] + [c._len for c in self.caches])
+        self._data = np.empty((len(self.caches), width))
+        for cache, row in zip(self.caches, self._data):
+            cache._move(row)
+        self._last = width - 1
+        self._limit = np.array([_UNLIMITED if c._frozen else c._len
+                                for c in self.caches], dtype=np.int64)
+
+    def _extend(self, tau):
+        for i in np.flatnonzero(tau >= self._limit):
+            cache, n = self.caches[i], int(tau[i])
+            if n > self._last:
+                self._adopt(max(n + 1, 2 * (self._last + 1)))
+            elif cache._row.base is not self._data:
+                self._adopt(self._last + 1)
+            cache.trace_at(n)
+            self._limit[i] = _UNLIMITED if cache._frozen else cache._len
+
+    def at(self, tau):
+        """Trace of row i at holding time tau[i] (>= 0), for every row."""
+        if np.count_nonzero(tau >= self._limit):
+            self._extend(tau)
+        return self._data[self._index, np.minimum(tau, self._last)]
 
 
 def steady_state_covariance(model, tol=1e-10, max_iters=100_000, n_max=256):
@@ -255,31 +329,6 @@ def steady_state_covariance(model, tol=1e-10, max_iters=100_000, n_max=256):
     return SteadyStateCache(model, P, K, n_max=n_max)
 
 
-@dataclass
-class KalmanState:
-    """True state and the sensor-side filtered estimate of one process."""
-    xhat: np.ndarray
-    x_true: np.ndarray
-
-
-def local_kalman_step(model, cache, state, rng):
-    """Advance the true process one step and run the steady-state filter."""
-    w = model.w_sqrt @ rng.standard_normal(model.n_x)
-    x_new = model.A @ state.x_true + w
-    v = model.v_sqrt @ rng.standard_normal(model.n_y)
-    y = model.C @ x_new + v
-    pred = model.A @ state.xhat
-    xhat_new = pred + cache.kalman_gain @ (y - model.C @ pred)
-    return KalmanState(xhat=xhat_new, x_true=x_new)
-
-
-def remote_estimate_update(model, local, prev_remote, received):
-    """Remote estimate: the sensor's estimate if delivered, else A x_prev."""
-    if received:
-        return local.xhat.copy()
-    return model.A @ prev_remote
-
-
 def remote_error_by_holding(model, cache, receive_prob, collect_steps,
                             replicas, rng, burn_in=100, tau_max=3):
     """Monte-Carlo squared remote-estimation error, stratified by holding time.
@@ -292,7 +341,7 @@ def remote_error_by_holding(model, cache, receive_prob, collect_steps,
     collection.  Returns (counts, mean_sq_error) arrays of length tau_max+1.
 
     Deliberately recomputes nothing from the cached trace table: this is an
-    independent check of covariance_at_holding, not a consumer of it.
+    independent check of ``SteadyStateCache.cov_at``, not a consumer of it.
     """
     A, C = model.A, model.C
     K = cache.kalman_gain

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -25,7 +26,7 @@ from .environment import env_reset, env_step
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
                      NumericalError, RiccatiConvergenceError,
                      TrainingDivergedError, VersionMismatchError)
-from .estimation import ProcessModel, steady_state_covariance
+from .estimation import ProcessModel, TraceTable, steady_state_covariance
 from .policies import (POLICY_NAMES, policy_greedy_covariance,
                        policy_greedy_holding, policy_random,
                        policy_round_robin)
@@ -41,6 +42,11 @@ class Scenario:
     caches: list
     seed: int
     metadata: dict = field(default_factory=dict)
+    # the caches' trace tables as the rows of one array
+    traces: TraceTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.traces = TraceTable(self.caches)
 
     @property
     def n_sensors(self):
@@ -228,12 +234,11 @@ def evaluate_policy(scenario, policy, steps, seed=0, name="policy"):
                 break
             state, reward = env_step(scenario, state, action, chan_rngs)
             cost = -reward
-            if not np.isfinite(cost):
+            if not math.isfinite(cost):
                 overflow_step = k
                 break
             total += cost
-            for i, cache in enumerate(scenario.caches):
-                per_sensor[i] += cache.trace_at(int(state.tau[i]))
+            per_sensor += scenario.traces.at(state.tau)
             completed += 1
     if overflow_step is not None:
         avg = float("inf")

@@ -52,6 +52,4 @@ def policy_greedy_holding(state, rng):
 def policy_greedy_covariance(state, scenario, rng):
     """Schedule the M sensors whose current covariance traces are largest."""
     m = len(state.gamma_prev)
-    scores = np.array([cache.trace_at(int(t))
-                       for cache, t in zip(scenario.caches, state.tau)])
-    return _top_by_score(scores, m, rng)
+    return _top_by_score(scenario.traces.at(state.tau), m, rng)

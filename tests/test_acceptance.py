@@ -20,7 +20,7 @@ from sensorsched import (ChannelModel, DqnConfig, ProcessModel,
                          remote_error_by_holding, scenario_generate,
                          scheduling_policy_from, spawn_channel_rngs,
                          spectral_radius, stability_check,
-                         steady_state_covariance, covariance_at_holding,
+                         steady_state_covariance,
                          threshold_policy_running_cost, train)
 from sensorsched.cli import main as cli_main
 
@@ -188,7 +188,7 @@ def test_criterion_04_monte_carlo_estimator_consistency():
     worst = 0.0
     for tau in range(4):
         assert counts[tau] >= 100_000, f"stratum {tau}: {counts[tau]} samples"
-        expected = np.trace(covariance_at_holding(cache, tau))
+        expected = np.trace(cache.cov_at(tau))
         got = means[tau]
         rel = abs(got - expected) / expected
         worst = max(worst, rel)

@@ -93,6 +93,27 @@ class TestIndependence:
         assert np.array_equal(solo, pair)
 
 
+    def test_block_draws_follow_the_scalar_rule(self):
+        # 600 steps cross several refills of the per-channel draw blocks;
+        # each step must use the next scalar draw of each channel's stream
+        models = [ChannelModel(0.3, 0.6), ChannelModel(0.1, 0.2),
+                  ChannelModel(0.8, 0.5)]
+        rngs = spawn_channel_rngs(13, 3)
+        scalar = [np.random.Generator(np.random.Philox(child))
+                  for child in np.random.SeedSequence(13).spawn(3)]
+        state = channel_reset(models)
+        want = [1, 1, 1]
+        for _ in range(600):
+            state = channel_step(models, state, rngs)
+            for m, (model, stream) in enumerate(zip(models, scalar)):
+                u = stream.random()
+                if want[m] == 1:
+                    want[m] = 0 if u < model.p else 1
+                else:
+                    want[m] = 1 if u < model.q else 0
+            assert state.gamma.tolist() == want
+
+
 class TestValidationAndDeterminism:
     def test_rates_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):

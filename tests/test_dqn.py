@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, DqnConfig, ProcessModel, ReplayBuffer,
                          SchedulingEnv, Transition, TrainingDivergedError,
-                         act_epsilon_greedy, compute_targets, env_reset,
-                         init_agent, scheduling_policy_from, train,
+                         SensorSchedError, act_epsilon_greedy,
+                         compute_targets, env_reset, init_agent, init_mlp,
+                         make_policy, scheduling_policy_from, train,
                          train_step, write_curve_csv)
 from sensorsched.dqn import fold_observation_scaling
 from sensorsched.neural import LrSchedule, MlpParams
@@ -150,6 +151,13 @@ class TestActionSelection:
         action = policy(env_reset(two_sensor_scenario),
                         np.random.default_rng(0))
         assert action.assignment == (2,)
+
+    def test_weights_of_another_shape_raise_typed_error(self,
+                                                        six_sensor_scenario):
+        # the 6x3 scenario needs 15 inputs and 120 outputs
+        params = init_mlp((8, 4, 6), np.random.default_rng(0))
+        with pytest.raises(SensorSchedError, match="15 inputs and 120"):
+            make_policy("dqn", six_sensor_scenario, weights=params)
 
 
 class _FakeAgent:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sensorsched import (ChannelModel, ProcessModel, SchedAction,
+from sensorsched import (ChannelModel, EnvState, ProcessModel, SchedAction,
                          SchedulingEnv, action_count, action_decode,
-                         action_encode, covariance_at_holding, env_reset,
-                         observation_build)
+                         action_encode, env_reset, env_step,
+                         observation_build, spawn_channel_rngs)
+from sensorsched.environment import total_trace
 from conftest import build_scenario
 
 
@@ -97,7 +100,7 @@ class TestStepDynamics:
         for _ in range(10):
             state, reward = env.step(action)
             want = -sum(
-                float(np.trace(covariance_at_holding(cache, int(t))))
+                float(np.trace(cache.cov_at(int(t))))
                 for cache, t in zip(six_sensor_scenario.caches, state.tau))
             assert reward == pytest.approx(want, rel=1e-9)
 
@@ -152,6 +155,58 @@ class TestStepDynamics:
         f2, s2 = run()
         assert f1 == f2 and s1 == s2
         assert f1 != s1
+
+
+class TestStepProperties:
+    """env_step and observation_build against per-sensor references."""
+
+    def test_total_trace_adds_left_to_right(self):
+        # np.sum's pairwise order rounds differently on many such vectors
+        sampler = np.random.default_rng(0)
+        for _ in range(200):
+            traces = sampler.random(20) * sampler.choice([1.0, 1e3], 20)
+            want = 0.0
+            for t in traces.tolist():
+                want += t
+            assert total_trace(traces) == want
+
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tau=st.lists(st.integers(0, 3000), min_size=6, max_size=6),
+           gamma_prev=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+           action=st.integers(0, 119), seed=st.integers(0, 2 ** 32 - 1))
+    def test_step_against_per_sensor_loop(self, six_sensor_scenario, tau,
+                                          gamma_prev, action, seed):
+        scn = six_sensor_scenario
+        state = EnvState(tau=np.array(tau, dtype=np.int64),
+                         gamma_prev=np.array(gamma_prev, dtype=np.int64),
+                         step_index=0)
+        assignment = action_decode(action, 6, 3).assignment
+        new, reward = env_step(scn, state, action_decode(action, 6, 3),
+                               spawn_channel_rngs(seed, 3))
+        # each channel's chain from one scalar draw of its own substream
+        streams = [np.random.Generator(np.random.Philox(child))
+                   for child in np.random.SeedSequence(seed).spawn(3)]
+        gamma = []
+        for chan, stream, prev in zip(scn.channels, streams, gamma_prev):
+            u = stream.random()
+            gamma.append(int(u >= chan.p) if prev == 1 else int(u < chan.q))
+        assert new.gamma_prev.tolist() == gamma
+        delivered = {s - 1 for s, g in zip(assignment, gamma) if g == 1}
+        want_tau = [0 if i in delivered else t + 1 for i, t in enumerate(tau)]
+        assert new.tau.tolist() == want_tau
+        want = 0.0
+        for cache, t in zip(scn.caches, want_tau):
+            want -= cache.trace_at(t)
+        assert type(reward) is float and reward == want
+        for normalize in (False, True):
+            obs = observation_build(new, scn, normalize=normalize)
+            ref = [float(t) for t in want_tau]
+            for cache, t in zip(scn.caches, want_tau):
+                val = cache.trace_at(t + 1)
+                ref.append(val / cache.trace_at(1) if normalize else val)
+            ref += [float(g) for g in gamma]
+            assert obs.tobytes() == np.array(ref).tobytes()
 
 
 class TestObservation:

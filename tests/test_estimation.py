@@ -6,17 +6,67 @@ and the holding-time covariances from a Monte-Carlo simulation that never
 touches the cached trace table.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from sensorsched import (KalmanState, ProcessModel, RiccatiConvergenceError,
-                         SteadyStateCache, covariance_at_holding,
-                         is_controllable, is_observable, local_kalman_step,
+from sensorsched import (ProcessModel, RiccatiConvergenceError,
+                         SteadyStateCache, TraceTable, is_controllable,
+                         is_observable,
                          propagate_covariance, remote_error_by_holding,
-                         remote_estimate_update, steady_state_covariance)
+                         steady_state_covariance)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+REFERENCE_CAP = 6000
+
+
+def open_loop_reference(A, W, pbar, steps):
+    """Entries 0..steps of a plain propagate_covariance loop from pbar.
+
+    Returns (traces, covariances, freeze): from the first non-finite
+    trace on every entry is +inf and the +inf matrix, the cache's overflow
+    convention; ``freeze`` is the first holding time whose successor has
+    the same bits, or whose trace overflowed, or None.
+    """
+    covs, traces, freeze = [pbar], [float(np.trace(pbar))], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(covs) <= steps:
+            nxt = propagate_covariance(A, W, covs[-1])
+            tr = float(np.trace(nxt))
+            if not np.isfinite(tr):
+                freeze = len(covs) if freeze is None else freeze
+                pad = steps + 1 - len(covs)
+                covs += [np.full_like(pbar, np.inf)] * pad
+                traces += [np.inf] * pad
+                break
+            if freeze is None and nxt.tobytes() == covs[-1].tobytes():
+                freeze = len(covs) - 1
+            covs.append(nxt)
+            traces.append(tr)
+    return traces, covs, freeze
+
+
+@st.composite
+def open_loop_models(draw):
+    """Random 1x1 or 2x2 (A, W, pbar), open-loop stable or unstable."""
+    dim = draw(st.sampled_from([1, 2]))
+    unit = st.floats(-1.0, 1.0)
+    eigs = draw(st.lists(st.floats(-1.6, 1.6), min_size=dim, max_size=dim))
+    angle = draw(st.floats(0.0, np.pi))
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])[:dim, :dim]
+    A = rot @ np.diag(eigs) @ rot.T
+    shear = np.array(draw(st.lists(unit, min_size=dim * dim,
+                                   max_size=dim * dim))).reshape(dim, dim)
+    W = shear @ shear.T + np.eye(dim) * draw(st.floats(0.05, 1.0))
+    root = np.array(draw(st.lists(unit, min_size=dim * dim,
+                                  max_size=dim * dim))).reshape(dim, dim)
+    return A, W, root @ root.T
 
 
 class TestRiccatiFixedPoint:
@@ -146,7 +196,7 @@ class TestCovariancePropagation:
         mat = golden_cache.pbar.copy()
         for _ in range(5):
             mat = propagate_covariance(golden_model.A, golden_model.W, mat)
-        assert np.allclose(covariance_at_holding(golden_cache, 5), mat,
+        assert np.allclose(golden_cache.cov_at(5), mat,
                            rtol=1e-12)
 
     def test_lazy_growth_past_initial_table(self, golden_model):
@@ -156,18 +206,33 @@ class TestCovariancePropagation:
     def test_matrix_cache_cap_is_transparent(self, golden_model):
         cache = SteadyStateCache(golden_model, [[GOLDEN]], [[GOLDEN]],
                                  n_max=2, mat_cache_limit=4)
-        want = covariance_at_holding(
-            steady_state_covariance(golden_model), 9)
-        assert np.allclose(covariance_at_holding(cache, 9), want, rtol=1e-9)
+        want = steady_state_covariance(golden_model).cov_at(9)
+        assert np.allclose(cache.cov_at(9), want, rtol=1e-9)
 
     def test_overflow_freezes_to_infinity(self):
         model = ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])
         cache = steady_state_covariance(model, n_max=8)
         assert not np.isfinite(cache.trace_at(600))
         assert cache.trace_at(601) == np.inf
-        assert np.all(np.isinf(covariance_at_holding(cache, 600)))
+        assert np.all(np.isinf(cache.cov_at(600)))
         # the finite prefix is untouched
         assert np.isfinite(cache.trace_at(100))
+        # P -> 4P + 1 first overflows at holding time 512; the table ends
+        # there and later lookups append nothing
+        assert cache.trace_at(200_000) == np.inf
+        assert len(cache.trace_powers) == 513
+        assert cache.trace_powers[512] == np.inf
+        assert np.all(np.isfinite(cache.trace_powers[:512]))
+
+    def test_fixed_point_freezes_the_table(self):
+        model = ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+        cache = steady_state_covariance(model, n_max=4)
+        far = cache.trace_at(100_000)
+        frozen = len(cache.trace_powers)
+        assert frozen < 100
+        assert far == cache.trace_powers[-1] == 4.0 / 3.0
+        assert cache.cov_at(50_000).tobytes() == cache.cov_at(frozen).tobytes()
+        assert len(cache.trace_powers) == frozen
 
     def test_propagate_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="conformability"):
@@ -180,36 +245,107 @@ class TestCovariancePropagation:
             golden_cache.cov_at(-2)
 
 
+class TestTableFreezing:
+    @settings(deadline=None, max_examples=40)
+    @given(model=open_loop_models(), data=st.data())
+    def test_lookups_equal_plain_propagation_bit_for_bit(self, model, data):
+        A, W, pbar = model
+        process = ProcessModel(A, np.ones((1, len(A))), W, [[1.0]],
+                               check=False)
+        probe = SteadyStateCache(process, pbar, np.zeros((len(A), 1)),
+                                 n_max=0)
+        traces, covs, freeze = open_loop_reference(A, W, probe.pbar,
+                                                   REFERENCE_CAP)
+        edge = REFERENCE_CAP if freeze is None else max(freeze, 1)
+        top = min(2 * edge, REFERENCE_CAP)
+        if data.draw(st.booleans(), label="n_max below the freeze"):
+            n_max = data.draw(st.integers(0, edge - 1), label="n_max")
+        else:
+            n_max = data.draw(st.integers(edge, top), label="n_max")
+        limit = data.draw(st.integers(1, max(edge - 1, 1)),
+                          label="mat_cache_limit")
+        cache = SteadyStateCache(process, pbar, np.zeros((len(A), 1)),
+                                 n_max=n_max, mat_cache_limit=limit)
+        order = list(range(top + 1))
+        data.draw(st.randoms(use_true_random=False)).shuffle(order)
+        for n in order:
+            assert (np.float64(cache.trace_at(n)).tobytes()
+                    == np.float64(traces[n]).tobytes()), n
+        picks = data.draw(st.lists(st.integers(0, top), max_size=4))
+        for n in picks + [edge - 1, edge, edge + 1, top]:
+            n = min(n, top)
+            assert cache.cov_at(n).tobytes() == covs[n].tobytes(), n
+        if freeze is not None:  # nothing appended past the freeze
+            assert len(cache.trace_powers) == freeze + 1
+
+
+def mixed_caches():
+    """Stable (freezing at a fixed point), marginal (never freezing within
+    a few thousand steps) and unstable (overflowing) scalar processes."""
+    return [steady_state_covariance(
+                ProcessModel([[rho]], [[1.0]], [[w]], [[0.5]]), n_max=4)
+            for rho, w in [(0.3, 0.4), (0.9, 1.0), (1.01, 0.5), (1.4, 0.9),
+                           (2.0, 0.7)]]
+
+
+class TestTraceTable:
+    def test_gather_equals_per_cache_lookups(self):
+        caches = mixed_caches()
+        table = TraceTable(caches)
+        reference = mixed_caches()
+        sampler = np.random.default_rng(4)
+        for hi in (3, 40, 300, 3000, 3000, 20_000):
+            tau = sampler.integers(0, hi, size=len(caches))
+            want = [c.trace_at(int(t)) for c, t in zip(reference, tau)]
+            assert table.at(tau).tobytes() == np.array(want).tobytes()
+        for cache, twin in zip(caches, reference):
+            assert len(cache.trace_powers) <= len(twin.trace_powers)
+
+    def test_rows_are_the_caches_storage(self):
+        caches = mixed_caches()
+        table = TraceTable(caches)
+        table.at(np.full(len(caches), 700))  # widens the table
+        for cache in caches:
+            assert np.shares_memory(cache.trace_powers, table._data)
+        # a cache that outgrows its row by itself moves out, and the table
+        # takes it back when it next needs a longer row
+        marginal = caches[2]
+        want = mixed_caches()[2].trace_at(5000)
+        marginal.trace_at(5000)
+        assert not np.shares_memory(marginal.trace_powers, table._data)
+        assert table.at(np.full(len(caches), 5000))[2] == want
+        assert np.shares_memory(marginal.trace_powers, table._data)
+
+    def test_caches_do_not_keep_the_table_alive(self):
+        # no reference cycle: a dropped scenario's table is freed at once,
+        # not whenever the cycle collector next runs
+        caches = mixed_caches()
+        table = TraceTable(caches)
+        table.at(np.full(len(caches), 700))
+        dropped = weakref.ref(table)
+        gc.disable()
+        try:
+            del table
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    def test_cache_shared_by_two_tables(self):
+        caches = mixed_caches()
+        first, second = TraceTable(caches), TraceTable(caches[::-1])
+        reference = mixed_caches()
+        sampler = np.random.default_rng(8)
+        # holding times creep up, so each table often finds a row whose
+        # entries the other table grew while its own row still has room
+        for k in range(0, 900, 3):
+            tau = k + sampler.integers(0, 6, size=len(caches))
+            want = np.array([c.trace_at(int(t))
+                             for c, t in zip(reference, tau)])
+            assert first.at(tau).tobytes() == want.tobytes()
+            assert second.at(tau[::-1]).tobytes() == want[::-1].tobytes()
+
+
 class TestFilterSimulation:
-    def test_noise_free_system_tracks_exactly(self):
-        # W = V = 0: the filter reproduces the true state after one update
-        model = ProcessModel([[0.9]], [[1.0]], [[0.0]], [[0.0]], check=False)
-        cache = SteadyStateCache(model, [[0.0]], [[1.0]])
-        rng = np.random.default_rng(0)
-        state = KalmanState(xhat=np.array([0.0]), x_true=np.array([3.0]))
-        for _ in range(4):
-            state = local_kalman_step(model, cache, state, rng)
-            assert state.xhat == pytest.approx(state.x_true, abs=1e-12)
-
-    def test_memoryless_error_variance_matches_fixed_point(self):
-        model = ProcessModel([[0.0]], [[1.0]], [[1.0]], [[1.0]], check=False)
-        cache = steady_state_covariance(model)
-        rng = np.random.default_rng(42)
-        state = KalmanState(xhat=np.zeros(1), x_true=np.zeros(1))
-        errors = np.empty(30_000)
-        for k in range(errors.size):
-            state = local_kalman_step(model, cache, state, rng)
-            errors[k] = state.x_true[0] - state.xhat[0]
-        assert np.var(errors) == pytest.approx(cache.pbar[0, 0], rel=0.05)
-
-    def test_remote_update_selects_source(self, golden_model):
-        local = KalmanState(xhat=np.array([2.0]), x_true=np.array([2.5]))
-        prev = np.array([4.0])
-        received = remote_estimate_update(golden_model, local, prev, True)
-        dropped = remote_estimate_update(golden_model, local, prev, False)
-        assert received[0] == 2.0
-        assert dropped[0] == pytest.approx(golden_model.A[0, 0] * 4.0)
-
     def test_remote_error_matches_holding_time_covariances(self):
         # Monte-Carlo strata vs the cached traces: the acceptance-scale
         # version of this check lives in the acceptance suite

@@ -129,9 +129,8 @@ class TestGreedyCovariance:
         real = six_sensor_scenario
 
         def transformed(f):
-            caches = [SimpleNamespace(trace_at=lambda n, c=c: f(c.trace_at(n)))
-                      for c in real.caches]
-            return SimpleNamespace(caches=caches)
+            traces = SimpleNamespace(at=lambda tau: f(real.traces.at(tau)))
+            return SimpleNamespace(traces=traces)
 
         sampler = np.random.default_rng(3)
         for _ in range(50):

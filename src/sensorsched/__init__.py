@@ -11,14 +11,14 @@ from .analysis import (DiscountComparison, StabilityReport, abel_comparison,
                        spectral_radius, stability_check,
                        success_shortfall_bound,
                        threshold_policy_running_cost)
-from .channel import (ChannelModel, ChannelState, channel_reset, channel_step,
+from .channel import (ChannelModel, channel_reset, channel_step,
                       spawn_channel_rngs, stationary_success_prob)
 from .dqn import (AgentState, DqnConfig, EpisodeRecord, ReplayBuffer,
                   act_epsilon_greedy, compute_targets, init_agent,
                   scheduling_policy_from, train, train_step, write_curve_csv)
 from .environment import (EnvState, SchedAction, SchedulingEnv, Transition,
                           action_count, action_decode, action_encode,
-                          env_reset, env_step, observation_build)
+                          env_reset, env_step, observation_build, rollout)
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
                      NumericalError, PersistenceError,
                      RiccatiConvergenceError, SensorSchedError,

@@ -22,8 +22,9 @@ from math import exp, inf, lgamma, log, log1p
 
 import numpy as np
 
-from .channel import ChannelState, channel_step, spawn_channel_rngs
-from .environment import env_reset, env_step, total_trace
+from .channel import channel_reset, channel_step, spawn_channel_rngs
+# env_step is not called here; perfbench/tracing.py patches it by this name
+from .environment import env_step, rollout, total_trace  # noqa: F401
 
 
 def spectral_radius(A):
@@ -89,16 +90,16 @@ def threshold_policy_running_cost(scenario, threshold, steps, seed=0):
     q_values = [c.q for c in scenario.channels]
     best = int(np.argmax(q_values))
     rngs = spawn_channel_rngs(seed, len(scenario.channels))
-    chan = ChannelState(np.ones(len(scenario.channels), dtype=np.int64))
+    gamma = channel_reset(scenario.channels)
     tau = np.zeros(n, dtype=np.int64)
     running = np.empty(steps)
     cumulative = 0.0
     for k in range(steps):
         sender = int(np.argmax(tau))
         transmitting = tau[sender] > threshold
-        chan = channel_step(scenario.channels, chan, rngs)
+        gamma = channel_step(scenario.channels, gamma, rngs)
         tau += 1
-        if transmitting and chan.gamma[best] == 1:
+        if transmitting and gamma[best] == 1:
             tau[sender] = 0
         cumulative += total_trace(scenario.traces.at(tau))
         running[k] = cumulative / (k + 1)
@@ -136,14 +137,10 @@ def abel_comparison(costs, deltas):
 
 
 def discounted_vs_average(scenario, policy, deltas, horizon, seed=0):
-    """Run a policy for ``horizon`` steps and tabulate abel_comparison rows."""
-    ss_chan, ss_policy = np.random.SeedSequence(seed).spawn(2)
-    rngs = spawn_channel_rngs(ss_chan, len(scenario.channels))
-    policy_rng = np.random.Generator(np.random.Philox(ss_policy))
-    state = env_reset(scenario)
-    costs = np.empty(horizon)
-    for k in range(horizon):
-        action = policy(state, policy_rng)
-        state, reward = env_step(scenario, state, action, rngs)
-        costs[k] = -reward
-    return abel_comparison(costs, deltas)
+    """Run a policy for ``horizon`` steps and tabulate abel_comparison rows.
+
+    A rollout stopped by overflow gives +inf rows, as an infinite cost
+    would.
+    """
+    costs, _, overflow_step = rollout(scenario, policy, horizon, seed)
+    return abel_comparison(costs if overflow_step is None else [inf], deltas)

@@ -24,37 +24,27 @@ class ChannelModel:
             raise ValueError(f"p and q must lie in [0, 1], got p={self.p} q={self.q}")
 
 
-@dataclass
-class ChannelState:
-    gamma: np.ndarray  # 0/1 per channel, current step's outcomes
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.int64)
-        if g.ndim != 1 or not set(g.tolist()) <= {0, 1}:
-            raise ValueError("gamma must be a 1-D array of 0/1 values")
-        self.gamma = g
-
-
 def channel_reset(models, good=True):
-    """Initial channel state; all good by default."""
+    """Initial 0/1 outcomes, one int64 per channel; all good by default."""
     fill = 1 if good else 0
-    return ChannelState(np.full(len(models), fill, dtype=np.int64))
+    return np.full(len(models), fill, dtype=np.int64)
 
 
-def channel_step(models, state, rngs):
+def channel_step(models, gamma, rngs):
     """Advance every chain one step.  rngs: ChannelStreams, one per channel.
 
-    Channel m leaves its current state when its uniform falls below the
-    switching probability (p from good, q from bad).
+    ``gamma`` is the 0/1 array of ``channel_reset`` or a previous step, and
+    the result has the same form.  Channel m leaves its current state when
+    its uniform falls below the switching probability (p from good, q from
+    bad).
     """
-    if not (len(models) == len(state.gamma) == len(rngs)):
+    if not (len(models) == len(gamma) == len(rngs)):
         raise ValueError(
-            f"got {len(models)} models, {len(state.gamma)} states, "
+            f"got {len(models)} models, {len(gamma)} states, "
             f"{len(rngs)} rngs")
-    good = state.gamma
     switch = np.array([c.p if g else c.q
-                       for c, g in zip(models, good.tolist())])
-    return ChannelState((rngs.draw() < switch) ^ good)
+                       for c, g in zip(models, gamma.tolist())])
+    return (rngs.draw() < switch) ^ gamma
 
 
 def stationary_success_prob(model):

@@ -254,7 +254,7 @@ def fold_observation_scaling(params, scenario):
     n = len(scenario.processes)
     if w0.shape[0] != 2 * n + len(scenario.channels):
         raise ValueError("network input width does not match the scenario")
-    w0[n:2 * n] /= scenario.traces.at(np.ones(n, dtype=np.int64))[:, None]
+    w0[n:2 * n] /= scenario.traces.at_one[:, None]
     return folded
 
 

@@ -6,7 +6,8 @@ channels, the channels advance their loss chains, and every scheduled
 sensor whose channel came up good has its holding time reset to zero while
 all other holding times grow by one.  The reward is minus the total error
 covariance trace at the new holding times, so maximizing reward minimizes
-estimation cost.  There is no terminal state.
+estimation cost.  There is no terminal state.  ``rollout`` runs a policy
+along one trajectory of this MDP; every policy evaluation goes through it.
 
 Actions are indexed lexicographically over the ordered arrangements of M
 distinct sensors out of N (N!/(N-M)! in total), which keeps the discrete
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import perm
+from math import isfinite, perm
 from operator import add
 
 import numpy as np
 
-from .channel import ChannelState, channel_step, spawn_channel_rngs
+from .channel import channel_reset, channel_step, spawn_channel_rngs
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,7 @@ class SchedAction:
 @dataclass
 class EnvState:
     tau: np.ndarray         # holding time per sensor, steps since delivery
+    trace: np.ndarray       # per-sensor cost: covariance trace at tau
     gamma_prev: np.ndarray  # previous step's channel outcomes
     step_index: int
 
@@ -91,10 +94,9 @@ def action_encode(action, n_sensors, n_channels):
 
 def env_reset(scenario):
     """Fresh state: every sensor just delivered, every channel good."""
-    n = len(scenario.processes)
-    m = len(scenario.channels)
-    return EnvState(tau=np.zeros(n, dtype=np.int64),
-                    gamma_prev=np.ones(m, dtype=np.int64),
+    tau = np.zeros(len(scenario.processes), dtype=np.int64)
+    return EnvState(tau=tau, trace=scenario.traces.at(tau),
+                    gamma_prev=channel_reset(scenario.channels),
                     step_index=0)
 
 
@@ -122,16 +124,50 @@ def env_step(scenario, state, action, chan_rngs):
     for sensor in assignment:
         if not 1 <= sensor <= n:
             raise ValueError(f"sensor id {sensor} outside 1..{n}")
-    new_chan = channel_step(scenario.channels, ChannelState(state.gamma_prev),
-                            chan_rngs)
-    gamma = new_chan.gamma
+    gamma = channel_step(scenario.channels, state.gamma_prev, chan_rngs)
     tau = state.tau + 1
     for sensor, good in zip(assignment, gamma.tolist()):
         if good:
             tau[sensor - 1] = 0
-    reward = 0.0 - total_trace(scenario.traces.at(tau))
-    return EnvState(tau=tau, gamma_prev=gamma,
-                    step_index=state.step_index + 1), reward
+    trace = scenario.traces.at(tau)
+    return EnvState(tau=tau, trace=trace, gamma_prev=gamma,
+                    step_index=state.step_index + 1), 0.0 - total_trace(trace)
+
+
+def rollout(scenario, policy, steps, seed):
+    """Run a policy along one continuous trajectory of ``steps`` steps.
+
+    Returns (costs, trace_sums, overflow_step): the cost of each completed
+    step in order, the per-sensor traces summed over those steps, and the
+    step at which the run overflowed, or None.  The seed spawns the channel
+    streams and the policy's generator, so every policy run from one seed
+    sees the same channel sample path.  No resets: long-run behavior is
+    what matters for a continuing task.  A non-finite cost stops the run,
+    and so does a NumericalError from the policy: a learned policy reads
+    the traces, and once those overflow its network cannot evaluate.
+    """
+    if steps < 1:
+        raise ValueError(f"need steps >= 1, got {steps}")
+    ss_chan, ss_policy = np.random.SeedSequence(seed).spawn(2)
+    chan_rngs = spawn_channel_rngs(ss_chan, len(scenario.channels))
+    policy_rng = np.random.Generator(np.random.Philox(ss_policy))
+    state = env_reset(scenario)
+    costs = np.empty(steps)
+    trace_sums = np.zeros(len(scenario.processes))
+    # overflow is an anticipated, reported outcome, so the run-up to it
+    # should not spray numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            try:
+                action = policy(state, policy_rng)
+            except NumericalError:
+                return costs[:k], trace_sums, k
+            state, reward = env_step(scenario, state, action, chan_rngs)
+            costs[k] = -reward
+            if not isfinite(costs[k]):
+                return costs[:k], trace_sums, k
+            trace_sums += state.trace
+    return costs, trace_sums, None
 
 
 def observation_build(state, scenario, normalize=False):
@@ -149,7 +185,7 @@ def observation_build(state, scenario, normalize=False):
     obs[:n] = state.tau
     obs[n:2 * n] = scenario.traces.at(state.tau + 1)
     if normalize:
-        obs[n:2 * n] /= scenario.traces.at(np.ones(n, dtype=np.int64))
+        obs[n:2 * n] /= scenario.traces.at_one
     obs[2 * n:] = state.gamma_prev
     return obs
 

@@ -265,12 +265,15 @@ class TraceTable:
     whose entries have moved elsewhere (it outgrew the row through its own
     ``trace_at``, or joined another table) is taken back the next time
     its row is short.  The caches hold no reference to the table.
+    ``at_one`` holds every row's trace at holding time 1.
     """
 
     def __init__(self, caches):
         self.caches = list(caches)
         self._index = np.arange(len(self.caches))
         self._adopt(max((len(c._row) for c in self.caches), default=1))
+        self.at_one = self.at(np.ones(len(self.caches), dtype=np.int64))
+        self.at_one.setflags(write=False)
 
     def _adopt(self, width):
         """Move every cache into a fresh array at least ``width`` wide."""

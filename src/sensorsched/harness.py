@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .analysis import stability_check
-from .channel import ChannelModel, spawn_channel_rngs
+from .channel import ChannelModel
 from .dqn import scheduling_policy_from, train
-from .environment import env_reset, env_step
+# env_step is not called here; perfbench/tracing.py patches it by this name
+from .environment import env_step, rollout, total_trace  # noqa: F401
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
-                     NumericalError, RiccatiConvergenceError,
+                     RiccatiConvergenceError,
                      TrainingDivergedError, VersionMismatchError)
 from .estimation import ProcessModel, TraceTable, steady_state_covariance
 from .policies import (POLICY_NAMES, policy_greedy_covariance,
@@ -195,7 +195,7 @@ def make_policy(name, scenario, weights=None):
     if name == "greedy-tau":
         return policy_greedy_holding
     if name == "greedy-cov":
-        return lambda state, rng: policy_greedy_covariance(state, scenario, rng)
+        return policy_greedy_covariance
     if name == "dqn":
         if weights is None:
             raise ValueError("the dqn policy needs trained weights")
@@ -204,50 +204,19 @@ def make_policy(name, scenario, weights=None):
 
 
 def evaluate_policy(scenario, policy, steps, seed=0, name="policy"):
-    """Average per-step cost of a policy over one continuous trajectory.
+    """Average per-step cost of a policy over one ``rollout``.
 
-    No resets: long-run behavior is what matters for a continuing task.
-    A cost overflow (unbounded covariance) stops the run and reports +inf
-    together with the step at which it happened.
+    A cost overflow (unbounded covariance) reports +inf together with the
+    step at which it happened.
     """
-    if steps < 1:
-        raise ValueError(f"need steps >= 1, got {steps}")
-    ss_chan, ss_policy = np.random.SeedSequence(seed).spawn(2)
-    chan_rngs = spawn_channel_rngs(ss_chan, scenario.n_channels)
-    policy_rng = np.random.Generator(np.random.Philox(ss_policy))
-    state = env_reset(scenario)
-    total = 0.0
-    per_sensor = np.zeros(scenario.n_sensors)
-    overflow_step = None
-    completed = 0
-    # cost overflow is an anticipated, reported outcome here, so the
-    # run-up to it should not spray numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            try:
-                action = policy(state, policy_rng)
-            except NumericalError:
-                # a learned policy reads the covariance traces; once those
-                # overflow its network cannot evaluate, which is the same
-                # unbounded-covariance event as an infinite step cost
-                overflow_step = k
-                break
-            state, reward = env_step(scenario, state, action, chan_rngs)
-            cost = -reward
-            if not math.isfinite(cost):
-                overflow_step = k
-                break
-            total += cost
-            per_sensor += scenario.traces.at(state.tau)
-            completed += 1
-    if overflow_step is not None:
-        avg = float("inf")
-        mean_trace = [float("inf")] * scenario.n_sensors
+    costs, trace_sums, overflow_step = rollout(scenario, policy, steps, seed)
+    if overflow_step is None:
+        avg = total_trace(costs) / len(costs)
+        mean_trace = (trace_sums / len(costs)).tolist()
     else:
-        avg = total / completed
-        mean_trace = (per_sensor / completed).tolist()
-    return EvalReport(policy=name, steps=completed,
-                      empirical_avg_cost=avg,
+        avg = float("inf")
+        mean_trace = [avg] * scenario.n_sensors
+    return EvalReport(policy=name, steps=len(costs), empirical_avg_cost=avg,
                       per_sensor_mean_trace=mean_trace, seed=int(seed),
                       overflow_step=overflow_step)
 

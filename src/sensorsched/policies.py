@@ -1,7 +1,7 @@
 """Baseline scheduling policies.
 
-Each policy maps (EnvState, rng) to a SchedAction; greedy-covariance also
-needs the scenario for its trace lookups.  Selection-based policies break
+Each policy maps (EnvState, rng) to a SchedAction; greedy-covariance
+scores the traces the state carries.  Selection-based policies break
 score ties by lowest sensor index and spread the chosen sensors over the
 channels uniformly at random, so no baseline encodes channel preferences.
 """
@@ -20,9 +20,9 @@ def _assign_randomly(chosen, rng):
     return SchedAction(tuple(int(chosen[k]) + 1 for k in order))
 
 
-def policy_random(state, rng, n_sensors=None):
+def policy_random(state, rng):
     """Uniform over ordered assignments of M distinct sensors."""
-    n = len(state.tau) if n_sensors is None else n_sensors
+    n = len(state.tau)
     m = len(state.gamma_prev)
     picks = rng.permutation(n)[:m]
     return SchedAction(tuple(int(i) + 1 for i in picks))
@@ -49,7 +49,7 @@ def policy_greedy_holding(state, rng):
     return _top_by_score(state.tau.astype(np.float64), m, rng)
 
 
-def policy_greedy_covariance(state, scenario, rng):
+def policy_greedy_covariance(state, rng):
     """Schedule the M sensors whose current covariance traces are largest."""
     m = len(state.gamma_prev)
-    return _top_by_score(scenario.traces.at(state.tau), m, rng)
+    return _top_by_score(state.trace, m, rng)

@@ -154,7 +154,7 @@ def test_criterion_03_channel_statistics_three_sigma():
     gammas = np.empty(steps, dtype=np.int64)
     for k in range(steps):
         state = channel_step(models, state, rngs)
-        gammas[k] = state.gamma[0]
+        gammas[k] = state[0]
     good_to_bad = np.sum((gammas[:-1] == 1) & (gammas[1:] == 0))
     bad_to_good = np.sum((gammas[:-1] == 0) & (gammas[1:] == 1))
     n_good, n_bad = np.sum(gammas[:-1] == 1), np.sum(gammas[:-1] == 0)

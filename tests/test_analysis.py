@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from sensorsched import (ChannelModel, ProcessModel, abel_comparison,
-                         discounted_vs_average, policy_round_robin,
-                         propagate_covariance, spectral_radius,
-                         stability_check, success_shortfall_bound,
+                         discounted_vs_average, init_mlp, policy_round_robin,
+                         propagate_covariance, scheduling_policy_from,
+                         spectral_radius, stability_check,
+                         success_shortfall_bound,
                          log_success_shortfall_bound,
                          threshold_policy_running_cost)
 from conftest import build_scenario
@@ -220,6 +221,17 @@ class TestDiscountComparison:
         rows = abel_comparison(costs, [0.9])
         assert rows[0].discounted == math.inf
         assert rows[0].time_average == math.inf
+
+    def test_overflow_inside_network_policy_gives_inf_rows(self, rng):
+        # a starved unstable sensor: once the observation overflows the
+        # network cannot evaluate, which reads as an unbounded cost
+        scn = build_scenario(
+            [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
+            [ChannelModel(1.0, 0.0)])
+        pol = scheduling_policy_from(init_mlp((3, 4, 1), rng), scn)
+        rows = discounted_vs_average(scn, pol, [0.9, 0.99], horizon=3000)
+        assert [(r.delta, r.discounted, r.time_average) for r in rows] == [
+            (0.9, math.inf, math.inf), (0.99, math.inf, math.inf)]
 
     def test_invalid_delta_rejected(self):
         with pytest.raises(ValueError):

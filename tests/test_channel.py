@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from sensorsched import (ChannelModel, ChannelState, channel_reset,
-                         channel_step, spawn_channel_rngs,
-                         stationary_success_prob)
+from sensorsched import (ChannelModel, channel_reset, channel_step,
+                         spawn_channel_rngs, stationary_success_prob)
 
 
 def run_chain(model, steps, seed=0, start_good=True):
@@ -14,7 +13,7 @@ def run_chain(model, steps, seed=0, start_good=True):
     path = np.empty(steps, dtype=np.int64)
     for k in range(steps):
         state = channel_step([model], state, rngs)
-        path[k] = state.gamma[0]
+        path[k] = state[0]
     return path
 
 
@@ -75,7 +74,7 @@ class TestIndependence:
         paths = np.empty((steps, 2), dtype=np.int64)
         for k in range(steps):
             state = channel_step(models, state, rngs)
-            paths[k] = state.gamma
+            paths[k] = state
         corr = np.corrcoef(paths[:, 0], paths[:, 1])[0, 1]
         assert abs(corr) < 0.02
 
@@ -89,7 +88,7 @@ class TestIndependence:
         pair = np.empty(500, dtype=np.int64)
         for k in range(500):
             state = channel_step(models, state, rngs)
-            pair[k] = state.gamma[0]
+            pair[k] = state[0]
         assert np.array_equal(solo, pair)
 
 
@@ -111,7 +110,7 @@ class TestIndependence:
                     want[m] = 0 if u < model.p else 1
                 else:
                     want[m] = 1 if u < model.q else 0
-            assert state.gamma.tolist() == want
+            assert state.tolist() == want
 
 
 class TestValidationAndDeterminism:
@@ -120,10 +119,6 @@ class TestValidationAndDeterminism:
             ChannelModel(1.5, 0.5)
         with pytest.raises(ValueError):
             ChannelModel(0.5, -0.1)
-
-    def test_gamma_must_be_binary(self):
-        with pytest.raises(ValueError):
-            ChannelState(np.array([0, 2]))
 
     def test_mismatched_stream_count_rejected(self):
         models = [ChannelModel(0.5, 0.5)]
@@ -138,5 +133,5 @@ class TestValidationAndDeterminism:
 
     def test_reset_state_choice(self):
         models = [ChannelModel(0.5, 0.5)] * 3
-        assert np.all(channel_reset(models).gamma == 1)
-        assert np.all(channel_reset(models, good=False).gamma == 0)
+        assert np.all(channel_reset(models) == 1)
+        assert np.all(channel_reset(models, good=False) == 0)

@@ -178,7 +178,8 @@ class TestStepProperties:
     def test_step_against_per_sensor_loop(self, six_sensor_scenario, tau,
                                           gamma_prev, action, seed):
         scn = six_sensor_scenario
-        state = EnvState(tau=np.array(tau, dtype=np.int64),
+        start = np.array(tau, dtype=np.int64)
+        state = EnvState(tau=start, trace=scn.traces.at(start),
                          gamma_prev=np.array(gamma_prev, dtype=np.int64),
                          step_index=0)
         assignment = action_decode(action, 6, 3).assignment
@@ -199,6 +200,12 @@ class TestStepProperties:
         for cache, t in zip(scn.caches, want_tau):
             want -= cache.trace_at(t)
         assert type(reward) is float and reward == want
+        # the state carries the traces the reward was summed from
+        want_trace = [cache.trace_at(t) for cache, t in zip(scn.caches, want_tau)]
+        assert new.trace.tobytes() == np.array(want_trace).tobytes()
+        assert new.trace.tobytes() == scn.traces.at(new.tau).tobytes()
+        reset = env_reset(scn)
+        assert reset.trace.tobytes() == scn.traces.at(reset.tau).tobytes()
         for normalize in (False, True):
             obs = observation_build(new, scn, normalize=normalize)
             ref = [float(t) for t in want_tau]

@@ -1,6 +1,6 @@
 """Baseline policy tests: selection rules, tie-breaking, distributional checks."""
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,12 @@ from sensorsched import (ChannelModel, EnvState, ProcessModel,
 from conftest import build_scenario
 
 
-def make_state(tau, n_channels, step_index=0):
-    return EnvState(tau=np.asarray(tau, dtype=np.int64),
+def make_state(tau, n_channels, step_index=0, scenario=None):
+    """A state at holding times tau, with the scenario's traces if given."""
+    tau = np.asarray(tau, dtype=np.int64)
+    trace = (np.zeros(len(tau)) if scenario is None
+             else scenario.traces.at(tau))
+    return EnvState(tau=tau, trace=trace,
                     gamma_prev=np.ones(n_channels, dtype=np.int64),
                     step_index=step_index)
 
@@ -93,11 +97,10 @@ class TestGreedyHolding:
 class TestGreedyCovariance:
     def test_fresh_state_selects_largest_steady_traces(self, rng,
                                                        six_sensor_scenario):
-        state = make_state([0] * 6, 3)
+        state = make_state([0] * 6, 3, scenario=six_sensor_scenario)
         traces = [c.trace_at(0) for c in six_sensor_scenario.caches]
         want = set(np.argsort(traces)[-3:] + 1)
-        got = set(policy_greedy_covariance(state, six_sensor_scenario,
-                                           rng).assignment)
+        got = set(policy_greedy_covariance(state, rng).assignment)
         assert got == want
 
     def test_unstable_sensor_dominates_once_stale(self, rng):
@@ -114,34 +117,33 @@ class TestGreedyCovariance:
         assert hot_stale > cold_ceiling
         for tau_hot in (1, 3, 10):
             tau = np.array([tau_hot, 400, 400, 400])
-            state = make_state(tau, 1)
-            assert policy_greedy_covariance(state, scn, rng).assignment == (1,)
+            state = make_state(tau, 1, scenario=scn)
+            assert policy_greedy_covariance(state, rng).assignment == (1,)
 
     def test_tie_breaks_to_lowest_index(self, rng):
         model = ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])
         scn = build_scenario([model, model, model], [ChannelModel(0.5, 0.5)])
-        state = make_state([4, 4, 4], 1)
-        assert policy_greedy_covariance(state, scn, rng).assignment == (1,)
+        state = make_state([4, 4, 4], 1, scenario=scn)
+        assert policy_greedy_covariance(state, rng).assignment == (1,)
 
     def test_selection_invariant_to_monotone_score_transforms(self, rng,
                                                               six_sensor_scenario):
         # argmax sets depend only on the order of the scores
         real = six_sensor_scenario
 
-        def transformed(f):
-            traces = SimpleNamespace(at=lambda tau: f(real.traces.at(tau)))
-            return SimpleNamespace(traces=traces)
+        def transformed(state, f):
+            return replace(state, trace=f(state.trace))
 
         sampler = np.random.default_rng(3)
         for _ in range(50):
             tau = sampler.integers(0, 30, size=6)
-            state = make_state(tau, 3)
+            state = make_state(tau, 3, scenario=real)
             base = policy_greedy_covariance(
-                state, real, np.random.default_rng(99)).assignment
+                state, np.random.default_rng(99)).assignment
             for f in (lambda x: 3.0 * x + 7.0, np.log1p,
                       lambda x: x ** 3):
                 got = policy_greedy_covariance(
-                    state, transformed(f), np.random.default_rng(99)).assignment
+                    transformed(state, f), np.random.default_rng(99)).assignment
                 assert got == base
 
     def test_agrees_with_holding_policy_on_identical_sensors(self, rng):
@@ -152,8 +154,8 @@ class TestGreedyCovariance:
         sampler = np.random.default_rng(17)
         for _ in range(30):
             tau = sampler.integers(0, 50, size=5)
-            state = make_state(tau, 2)
+            state = make_state(tau, 2, scenario=scn)
             a = set(policy_greedy_holding(state, np.random.default_rng(1)).assignment)
-            b = set(policy_greedy_covariance(state, scn,
+            b = set(policy_greedy_covariance(state,
                                              np.random.default_rng(1)).assignment)
             assert a == b

@@ -3,17 +3,20 @@
 The digests were taken from the per-sensor Python-loop implementation the
 vectorised rollout replaced.  At 400 steps greedy-cov leaves open-loop
 stable sensors unscheduled past the step at which their trace tables
-freeze, so the frozen lookups are covered too.  A change that alters
-any of these bytes must say why.
+freeze, so the frozen lookups are covered too.  The greedy-dqn digest at
+6 sensors and 3 channels was taken before every evaluation went through
+one rollout loop, and covers a network policy on that path.  A change
+that alters any of these bytes must say why.
 """
 
 import hashlib
 
 import numpy as np
 
-from sensorsched import (discounted_vs_average, env_reset, env_step,
-                         evaluate_policy, make_policy, scenario_generate,
-                         spawn_channel_rngs, threshold_policy_running_cost)
+from sensorsched import (DqnConfig, discounted_vs_average, env_reset,
+                         env_step, evaluate_policy, make_policy,
+                         scenario_generate, spawn_channel_rngs,
+                         threshold_policy_running_cost, train)
 
 STEPS = 400
 SEED = 1
@@ -25,6 +28,7 @@ DIGESTS = {
     "threshold": "dd28c426288f0ad2319400fc5f07ccb95ba3fc4f76475f822dbc06cc0f9ee3ee",
     "discounted": "01b2a0df90376fce3829ca87e217571c29234274330017ad5453f5bce6d23755",
 }
+DQN_DIGEST = "cb0c46d6b12698766408055713586cb2da12e1e00912c58285663ea96bb30dd2"
 
 
 def sha256(data):
@@ -49,6 +53,17 @@ def test_rollout_outputs_are_byte_identical():
                                  (0.9, 0.99, 0.999), STEPS, seed=SEED)
     got["discounted"] = sha256(repr(rows).encode())
     assert got == DIGESTS
+
+
+def test_greedy_dqn_report_is_byte_identical():
+    scn = scenario_generate(6, 3, seed=SEED)
+    config = DqnConfig(episodes=2, episode_length=100, hidden_sizes=(32,),
+                       minibatch_size=16, replay_capacity=256,
+                       epsilon_decay=0.98, lr_initial=1e-3, seed=SEED)
+    weights, _ = train(config, scn)
+    report = evaluate_policy(scn, make_policy("dqn", scn, weights=weights),
+                             STEPS, seed=SEED, name="dqn")
+    assert sha256(repr(report).encode()) == DQN_DIGEST
 
 
 def test_greedy_cov_reads_past_frozen_entries():

@@ -110,7 +110,7 @@ def threshold_policy_running_cost(scenario, threshold, steps, seed=0):
 class DiscountComparison:
     delta: float
     discounted: float     # (1 - delta) * sum_k delta^k * cost_k
-    time_average: float   # plain mean of the same cost sequence
+    time_average: float   # mean of the same costs, as evaluate_policy takes it
 
 
 def abel_comparison(costs, deltas):
@@ -125,7 +125,7 @@ def abel_comparison(costs, deltas):
         raise ValueError("costs must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(costs)):
         return [DiscountComparison(float(d), inf, inf) for d in deltas]
-    average = float(np.mean(costs))
+    average = total_trace(costs) / len(costs)
     rows = []
     for delta in deltas:
         if not 0.0 < delta < 1.0:

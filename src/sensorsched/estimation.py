@@ -16,6 +16,8 @@ only ever need traces of those compositions, which are cached per process.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 from .errors import RiccatiConvergenceError
@@ -152,6 +154,11 @@ def propagate_covariance(A, W, P):
     return _symmetrize(A @ P @ A.T + W)
 
 
+# Entries every cache computes up front; holding times past it grow the
+# table on demand.
+_N_MAX = 256
+
+
 class SteadyStateCache:
     """Steady-state filter quantities plus cached open-loop trace powers.
 
@@ -162,33 +169,30 @@ class SteadyStateCache:
     one) or when the trace overflows float64, after which every entry is
     +inf (a deliberate representation of an unbounded covariance, not an
     error).  Past a frozen table's last entry, lookups return that entry
-    and append nothing.  Matrices are cached up to ``mat_cache_limit``
-    compositions; beyond that only traces are kept so long starvation runs
-    stay cheap on memory.
-
-    The traces live in one float64 row.  A TraceTable moves that row into
-    its own array, so the two never hold separate copies; a cache that
-    outgrows its row moves to a private one twice as long.
+    and append nothing.  The traces live in one float64 row that doubles
+    when full; only the covariance at the last entry is kept.
     """
 
-    def __init__(self, model, pbar, kalman_gain, n_max=256,
-                 mat_cache_limit=4096):
+    def __init__(self, model, pbar, kalman_gain):
         self.model = model
         self.pbar = _symmetrize(np.array(pbar, dtype=np.float64))
         self.kalman_gain = np.array(kalman_gain, dtype=np.float64)
-        self._mat_cache_limit = int(mat_cache_limit)
-        self._mats = [self.pbar]
         self._tail = self.pbar  # covariance at the last computed entry
         self._frozen = False
-        self._row = np.empty(int(n_max) + 1)
+        self._row = np.empty(_N_MAX + 1)
         self._row[0] = np.trace(self.pbar)
         self._len = 1
-        self._grow(int(n_max))
+        self._grow(_N_MAX)
 
     @property
     def trace_powers(self):
         """The computed entries (a view; a frozen table ends at its last)."""
         return self._row[:self._len]
+
+    @property
+    def frozen(self):
+        """True once the table has stopped growing."""
+        return self._frozen
 
     def _grow(self, n):
         A, W = self.model.A, self.model.W
@@ -197,33 +201,14 @@ class SteadyStateCache:
                 nxt = _symmetrize(A @ self._tail @ A.T + W)
             tr = float(np.trace(nxt))
             if nxt.tobytes() == self._tail.tobytes():
-                self._freeze()
-            elif not np.isfinite(tr):
-                self._tail = np.full_like(self.pbar, np.inf)
-                self._append(np.inf)
-                self._freeze()
-            else:
-                self._tail = nxt
-                self._append(tr)
-                if len(self._mats) < self._mat_cache_limit:
-                    self._mats.append(nxt)
-
-    def _append(self, tr):
-        if self._len == len(self._row):
-            self._move(np.empty(2 * self._len))
-        self._row[self._len] = tr
-        self._len += 1
-
-    def _freeze(self):
-        self._frozen = True
-        self._row[self._len:] = self._row[self._len - 1]
-
-    def _move(self, row):
-        """Copy the entries into ``row`` (padded if frozen) and keep it."""
-        row[:self._len] = self.trace_powers
-        if self._frozen:
-            row[self._len:] = row[self._len - 1]
-        self._row = row
+                self._frozen = True
+                break
+            if self._len == len(self._row):
+                self._row = np.concatenate((self._row, np.empty(self._len)))
+            self._frozen = not isfinite(tr)
+            self._row[self._len] = np.inf if self._frozen else tr
+            self._len += 1
+            self._tail = nxt
 
     def trace_at(self, n):
         """tr of the covariance after holding time n (n = 0 gives tr pbar)."""
@@ -234,66 +219,57 @@ class SteadyStateCache:
             n = min(n, self._len - 1)
         return float(self._row[n])
 
-    def cov_at(self, n):
-        """Covariance matrix after holding time n."""
-        if n < 0:
-            raise ValueError(f"holding time must be >= 0, got {n}")
-        self._grow(n)
-        if self._frozen and n >= self._len - 1:
-            return self._tail.copy()
-        if n < len(self._mats):
-            return self._mats[n].copy()
-        mat = self._mats[-1]
-        for _ in range(n - (len(self._mats) - 1)):
-            mat = propagate_covariance(self.model.A, self.model.W, mat)
-        return mat
-
 
 # Lookup limit of a frozen row: every holding time is in its padding.
 _UNLIMITED = np.iinfo(np.int64).max
 
 
 class TraceTable:
-    """The trace tables of N caches as the rows of one (N, L) float64 array.
+    """The trace tables of N caches, copied into the rows of one (N, L) array.
 
-    Row i is ``caches[i]``'s own storage, not a copy: building the table
-    moves each cache's entries into its row, and the cache appends later
-    entries there.  A frozen row repeats its last entry out to column
-    L - 1, and holding times past that read column L - 1.  An unfrozen
-    row is valid up to its cache's length; L doubles only when such a row
-    runs out of room.  ``at`` reads all N traces in one lookup.  A cache
-    whose entries have moved elsewhere (it outgrew the row through its own
-    ``trace_at``, or joined another table) is taken back the next time
-    its row is short.  The caches hold no reference to the table.
-    ``at_one`` holds every row's trace at holding time 1.
+    Row i holds the first ``limit[i]`` entries of ``caches[i]``.  A frozen
+    row repeats its cache's last entry out to column L - 1, and holding
+    times past that read column L - 1.  A lookup past an unfrozen row's
+    limit grows the cache through ``trace_at`` and copies only the new
+    entries; L doubles when a row runs out of room, and every row's new
+    columns start as copies of its last one.  ``at`` reads all N traces in
+    one lookup.  ``at_one`` holds every row's trace at holding time 1.
     """
 
     def __init__(self, caches):
         self.caches = list(caches)
         self._index = np.arange(len(self.caches))
-        self._adopt(max((len(c._row) for c in self.caches), default=1))
+        width = max((len(c.trace_powers) for c in self.caches), default=1)
+        self._data = np.empty((len(self.caches), width))
+        self._last = width - 1
+        self._limit = np.zeros(len(self.caches), dtype=np.int64)
+        for i in self._index:
+            self._copy(i)
         self.at_one = self.at(np.ones(len(self.caches), dtype=np.int64))
         self.at_one.setflags(write=False)
 
-    def _adopt(self, width):
-        """Move every cache into a fresh array at least ``width`` wide."""
-        width = max([width] + [c._len for c in self.caches])
-        self._data = np.empty((len(self.caches), width))
-        for cache, row in zip(self.caches, self._data):
-            cache._move(row)
-        self._last = width - 1
-        self._limit = np.array([_UNLIMITED if c._frozen else c._len
-                                for c in self.caches], dtype=np.int64)
+    def _copy(self, i):
+        """Copy cache i's entries past the row's limit, padding if frozen."""
+        cache = self.caches[i]
+        powers, start = cache.trace_powers, self._limit[i]
+        self._data[i, start:len(powers)] = powers[start:]
+        if cache.frozen:
+            self._data[i, len(powers):] = powers[-1]
+            self._limit[i] = _UNLIMITED
+        else:
+            self._limit[i] = len(powers)
 
     def _extend(self, tau):
         for i in np.flatnonzero(tau >= self._limit):
-            cache, n = self.caches[i], int(tau[i])
-            if n > self._last:
-                self._adopt(max(n + 1, 2 * (self._last + 1)))
-            elif cache._row.base is not self._data:
-                self._adopt(self._last + 1)
-            cache.trace_at(n)
-            self._limit[i] = _UNLIMITED if cache._frozen else cache._len
+            cache = self.caches[i]
+            cache.trace_at(int(tau[i]))
+            if len(cache.trace_powers) > self._last + 1:
+                width = max(len(cache.trace_powers), 2 * (self._last + 1))
+                self._data = np.pad(self._data,
+                                    ((0, 0), (0, width - self._last - 1)),
+                                    mode="edge")
+                self._last = width - 1
+            self._copy(i)
 
     def at(self, tau):
         """Trace of row i at holding time tau[i] (>= 0), for every row."""
@@ -302,26 +278,32 @@ class TraceTable:
         return self._data[self._index, np.minimum(tau, self._last)]
 
 
-def steady_state_covariance(model, tol=1e-10, max_iters=100_000, n_max=256):
+def steady_state_covariance(model, tol=1e-10, max_iters=100_000):
     """Fixed point of the posterior Riccati recursion, with gain and traces.
 
     Iterates the measurement-updated covariance map from P = W until the
     sup-norm step falls below ``tol`` (Joseph-form update for numerical
-    robustness).  Raises RiccatiConvergenceError if the budget runs out.
+    robustness).  Raises RiccatiConvergenceError if the budget runs out,
+    or at once if an iterate is non-finite, since it can then never
+    converge.
     """
     A, C, W, V = model.A, model.C, model.W, model.V
     eye = np.eye(model.n_x)
     P = W.copy()
-    for _ in range(max_iters):
+    for it in range(max_iters):
         prior = A @ P @ A.T + W
         S = C @ prior @ C.T + V
         K = np.linalg.solve(S, C @ prior).T
         IKC = eye - K @ C
         P_next = _symmetrize(IKC @ prior @ IKC.T + K @ V @ K.T)
-        if np.max(np.abs(P_next - P)) < tol:
-            P = P_next
-            break
+        step = np.max(np.abs(P_next - P))
         P = P_next
+        if step < tol:
+            break
+        if not isfinite(step):
+            raise RiccatiConvergenceError(
+                f"non-finite iterate after {it + 1} iterations for model "
+                f"with A={A.tolist()}")
     else:
         raise RiccatiConvergenceError(
             f"no fixed point within {max_iters} iterations (tol={tol}) for "
@@ -329,7 +311,7 @@ def steady_state_covariance(model, tol=1e-10, max_iters=100_000, n_max=256):
     prior = A @ P @ A.T + W
     S = C @ prior @ C.T + V
     K = np.linalg.solve(S, C @ prior).T
-    return SteadyStateCache(model, P, K, n_max=n_max)
+    return SteadyStateCache(model, P, K)
 
 
 def remote_error_by_holding(model, cache, receive_prob, collect_steps,
@@ -344,7 +326,7 @@ def remote_error_by_holding(model, cache, receive_prob, collect_steps,
     collection.  Returns (counts, mean_sq_error) arrays of length tau_max+1.
 
     Deliberately recomputes nothing from the cached trace table: this is an
-    independent check of ``SteadyStateCache.cov_at``, not a consumer of it.
+    independent check of ``SteadyStateCache.trace_at``, not a consumer of it.
     """
     A, C = model.A, model.C
     K = cache.kalman_gain

@@ -169,9 +169,16 @@ def load_scenario(path):
                     for c in data["channels"]]
         seed = int(data["seed"])
         metadata = dict(data["metadata"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{path}: bad field: {exc}") from exc
-    caches = [steady_state_covariance(p) for p in processes]
+    if not 1 <= len(channels) <= len(processes):
+        raise MalformedFileError(
+            f"{path}: need 1 <= channels <= processes, got {len(channels)} "
+            f"channels, {len(processes)} processes")
+    try:
+        caches = [steady_state_covariance(p) for p in processes]
+    except RiccatiConvergenceError as exc:
+        raise MalformedFileError(f"{path}: {exc}") from exc
     return Scenario(processes=processes, channels=channels, caches=caches,
                     seed=seed, metadata=metadata)
 

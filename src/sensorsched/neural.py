@@ -64,15 +64,13 @@ def init_mlp(layer_sizes, rng):
 
 
 def _forward_cached(params, x):
-    """Returns (activations per layer incl. input, pre-activations)."""
+    """Returns the activations per layer, input first and output last."""
     acts = [x]
-    pres = []
     last = len(params.layers) - 1
     for l, (w, b) in enumerate(params.layers):
         z = acts[-1] @ w + b
-        pres.append(z)
         acts.append(np.maximum(z, 0.0) if l < last else z)
-    return acts, pres
+    return acts
 
 
 def mlp_forward(params, x):
@@ -84,7 +82,7 @@ def mlp_forward(params, x):
     if x.shape[1] != params.layer_sizes[0]:
         raise ValueError(
             f"input width {x.shape[1]}, network expects {params.layer_sizes[0]}")
-    out = _forward_cached(params, x)[0][-1]
+    out = _forward_cached(params, x)[-1]
     if not np.all(np.isfinite(out)):
         raise NumericalError("network produced non-finite outputs")
     return out[0] if single else out
@@ -107,7 +105,7 @@ def loss_and_gradient(params, inputs, actions, targets):
     if not np.all(np.isfinite(targets)):
         raise NumericalError("non-finite targets")
 
-    acts, pres = _forward_cached(params, inputs)
+    acts = _forward_cached(params, inputs)
     out = acts[-1]
     if not np.all(np.isfinite(out)):
         raise NumericalError("network produced non-finite outputs")
@@ -125,7 +123,8 @@ def loss_and_gradient(params, inputs, actions, targets):
         np.matmul(acts[l].T, d_z, out=gw)
         d_z.sum(axis=0, out=gb)
         if l > 0:
-            d_z = (d_z @ w.T) * (pres[l - 1] > 0.0)
+            # relu(z) > 0 exactly where z > 0, NaN failing both
+            d_z = (d_z @ w.T) * (acts[l] > 0.0)
     return loss, grads
 
 

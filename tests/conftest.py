@@ -1,10 +1,13 @@
 """Shared fixtures: hand-built models and scenarios with known behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
 from sensorsched import (ChannelModel, ProcessModel, Scenario,
                          steady_state_covariance)
+from sensorsched.harness import _payload_checksum
 
 
 def build_scenario(processes, channels, seed=0, metadata=None):
@@ -12,6 +15,16 @@ def build_scenario(processes, channels, seed=0, metadata=None):
     return Scenario(processes=list(processes), channels=list(channels),
                     caches=[steady_state_covariance(p) for p in processes],
                     seed=seed, metadata=metadata or {})
+
+
+def resave_scenario(path, edit):
+    """Apply ``edit`` to a saved scenario's payload in place, then store
+    the payload again under a checksum that matches it."""
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    edit(doc)
+    doc["checksum"] = _payload_checksum(doc)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 @pytest.fixture

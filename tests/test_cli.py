@@ -8,7 +8,17 @@ import pytest
 from sensorsched import init_mlp, load_scenario, load_weights, save_weights
 from sensorsched.cli import (EXIT_GENERATION, EXIT_IO, EXIT_OK, SEED_ENV_VAR,
                              main)
+from conftest import resave_scenario
 
+# Edits that keep a scenario file well formed but leave it unusable.
+UNUSABLE_EDITS = {
+    "more channels than sensors":
+        lambda doc: doc.update(channels=doc["channels"] * 3),
+    "no channels": lambda doc: doc.update(channels=[]),
+    "diverging Riccati recursion":
+        lambda doc: doc["processes"][0].update(
+            A=[[1e160]], C=[[1.0]], W=[[1.0]], V=[[1.0]]),
+}
 TINY_CONFIG = {"episodes": 2, "episode_length": 30, "hidden_sizes": [8],
                "minibatch_size": 4, "replay_capacity": 64}
 
@@ -153,6 +163,14 @@ class TestEval:
         raw = json.loads(scenario_file.read_text())
         raw["seed"] = raw["seed"] + 1
         scenario_file.write_text(json.dumps(raw, sort_keys=True, indent=2))
+        code = main(["eval", "--scenario", str(scenario_file),
+                     "--policy", "random", "--steps", "100"])
+        assert code == EXIT_IO
+
+    @pytest.mark.parametrize("edit", UNUSABLE_EDITS.values(),
+                             ids=UNUSABLE_EDITS.keys())
+    def test_unusable_scenario_exits_io_code(self, scenario_file, edit):
+        resave_scenario(scenario_file, edit)
         code = main(["eval", "--scenario", str(scenario_file),
                      "--policy", "random", "--steps", "100"])
         assert code == EXIT_IO

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, DqnConfig, ProcessModel, ReplayBuffer,
@@ -324,6 +324,25 @@ class TestTraining:
         folded = fold_observation_scaling(params, six_sensor_scenario)
         state = env_reset(six_sensor_scenario)
         state.tau[:] = [3, 0, 7, 2, 9, 1]
+        raw = observation_build(state, six_sensor_scenario)
+        scaled = observation_build(state, six_sensor_scenario, normalize=True)
+        assert np.allclose(mlp_forward(folded, raw),
+                           mlp_forward(params, scaled), rtol=1e-10)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tau=st.lists(st.integers(0, 60), min_size=6, max_size=6),
+           hidden=st.lists(st.integers(1, 12), max_size=2),
+           outputs=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_observation_scaling_fold_holds_at_random(self,
+                                                      six_sensor_scenario,
+                                                      tau, hidden, outputs,
+                                                      seed):
+        from sensorsched import mlp_forward, observation_build, env_reset
+        params = init_mlp((15, *hidden, outputs), np.random.default_rng(seed))
+        folded = fold_observation_scaling(params, six_sensor_scenario)
+        state = env_reset(six_sensor_scenario)
+        state.tau[:] = tau
         raw = observation_build(state, six_sensor_scenario)
         scaled = observation_build(state, six_sensor_scenario, normalize=True)
         assert np.allclose(mlp_forward(folded, raw),

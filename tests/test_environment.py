@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sensorsched import (ChannelModel, EnvState, ProcessModel, SchedAction,
                          SchedulingEnv, action_count, action_decode,
                          action_encode, env_reset, env_step,
-                         observation_build, spawn_channel_rngs)
+                         observation_build, propagate_covariance,
+                         spawn_channel_rngs)
 from sensorsched.environment import total_trace
 from conftest import build_scenario
 
@@ -39,6 +40,21 @@ class TestActionCodec:
             assert action_encode(action, n, m) == idx
             seen.add(action.assignment)
         assert len(seen) == action_count(n, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bijection_at_random_sizes(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        m = data.draw(st.integers(1, n), label="m")
+        idx = data.draw(st.integers(0, action_count(n, m) - 1), label="index")
+        action = action_decode(idx, n, m)
+        assert len(set(action.assignment)) == m
+        assert set(action.assignment) <= set(range(1, n + 1))
+        assert action_encode(action, n, m) == idx
+        sensors = data.draw(st.permutations(range(1, n + 1)), label="sensors")
+        back = action_encode(SchedAction(tuple(sensors[:m])), n, m)
+        assert 0 <= back < action_count(n, m)
+        assert action_decode(back, n, m).assignment == tuple(sensors[:m])
 
     def test_decode_order_is_lexicographic(self):
         tuples = [action_decode(i, 5, 2).assignment for i in range(20)]
@@ -97,11 +113,15 @@ class TestStepDynamics:
         # dual route: the scalar trace table vs full covariance matrices
         env = SchedulingEnv(six_sensor_scenario, seed=3)
         action = SchedAction((2, 4, 6))
+        scn = six_sensor_scenario
         for _ in range(10):
             state, reward = env.step(action)
-            want = -sum(
-                float(np.trace(cache.cov_at(int(t))))
-                for cache, t in zip(six_sensor_scenario.caches, state.tau))
+            want = 0.0
+            for proc, cache, t in zip(scn.processes, scn.caches, state.tau):
+                mat = cache.pbar
+                for _ in range(int(t)):
+                    mat = propagate_covariance(proc.A, proc.W, mat)
+                want -= float(np.trace(mat))
             assert reward == pytest.approx(want, rel=1e-9)
 
     def test_first_reward_brackets(self, six_sensor_scenario):

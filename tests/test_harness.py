@@ -1,17 +1,49 @@
 """Scenario generation, persistence, evaluation, and comparison table."""
 
+import copy
 import json
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, ChecksumError, DqnConfig,
-                         GenerationError, MalformedFileError, ProcessModel,
-                         VersionMismatchError, compare_all, evaluate_policy,
-                         load_scenario, make_policy, policy_random,
-                         save_scenario, scenario_generate, stability_check,
-                         write_compare_csv, write_eval_report)
-from conftest import build_scenario
+                         GenerationError, MalformedFileError, PersistenceError,
+                         ProcessModel, VersionMismatchError, compare_all,
+                         evaluate_policy, load_scenario, make_policy,
+                         policy_random, save_scenario, scenario_generate,
+                         stability_check, write_compare_csv,
+                         write_eval_report)
+from conftest import build_scenario, resave_scenario
+
+# Replacement values for a retyped field, and for one set out of range.
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                 st.text(max_size=3), st.just([]), st.just({}),
+                 st.lists(st.floats(-2.0, 2.0), max_size=3))
+OUT_OF_RANGE = st.sampled_from([-1.0, 0.0, 1.5, 1e160, -1e160, 1e308,
+                                float("inf"), float("-inf"), float("nan")])
+
+
+def json_paths(node, path=()):
+    """The key path of every field below a parsed JSON value."""
+    if isinstance(node, (dict, list)):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield path + (key,)
+            yield from json_paths(node[key], path + (key,))
+
+
+def draw_field(data, doc):
+    """Key path of a random field: a top-level field, then any field in
+    it, so a field such as ``seed`` comes up as often as ``processes``."""
+    if not doc:
+        return ()
+    top = (data.draw(st.sampled_from(sorted(doc)), label="top"),)
+    paths = [top] + [top + p for p in json_paths(doc[top[0]])]
+    return data.draw(st.sampled_from(paths), label="field")
 
 
 class TestGeneration:
@@ -146,6 +178,60 @@ class TestScenarioPersistence:
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         with pytest.raises(MalformedFileError):
             load_scenario(path)
+
+
+@pytest.fixture(scope="module")
+def saved_scenario_texts(tmp_path_factory):
+    """Saved 3x2 scenarios with 1-D and with 2-D processes.  Only 1-D ones
+    stay observable with a huge entry in A, so only they reach a diverging
+    Riccati recursion."""
+    path = tmp_path_factory.mktemp("saved") / "scn.json"
+    texts = []
+    for dim in (1, 2):
+        save_scenario(scenario_generate(3, 2, seed=2, state_dim=dim), path)
+        texts.append(path.read_text())
+    return texts
+
+
+class TestScenarioCorruption:
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_files_fail_typed_or_evaluate(self,
+                                                    saved_scenario_texts,
+                                                    tmp_path, data):
+        def corrupt(doc):
+            for _ in range(data.draw(st.integers(1, 3), label="edits")):
+                path = draw_field(data, doc)
+                if not path:
+                    return
+                parent = reduce(getitem, path[:-1], doc)
+                key, node = path[-1], parent[path[-1]]
+                kind = data.draw(st.sampled_from(
+                    ["drop", "retype", "resize", "range"]), label="edit")
+                if kind == "drop":
+                    del parent[key]
+                elif kind == "retype":
+                    parent[key] = data.draw(JUNK, label="value")
+                elif kind == "range":
+                    parent[key] = data.draw(OUT_OF_RANGE, label="value")
+                elif isinstance(node, list):
+                    size = data.draw(st.integers(0, len(node) + 2),
+                                     label="size")
+                    parent[key] = copy.deepcopy((node * 3)[:size])
+                else:
+                    parent[key] = [node]
+
+        path = tmp_path / "scn.json"
+        path.write_text(data.draw(st.sampled_from(saved_scenario_texts),
+                                  label="saved"))
+        resave_scenario(path, corrupt)
+        try:
+            scn = load_scenario(path)
+        except PersistenceError:
+            return
+        report = evaluate_policy(scn, make_policy("random", scn), 5)
+        assert report.steps <= 5
 
 
 class TestEvaluation:

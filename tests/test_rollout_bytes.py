@@ -5,8 +5,11 @@ vectorised rollout replaced.  At 400 steps greedy-cov leaves open-loop
 stable sensors unscheduled past the step at which their trace tables
 freeze, so the frozen lookups are covered too.  The greedy-dqn digest at
 6 sensors and 3 channels was taken before every evaluation went through
-one rollout loop, and covers a network policy on that path.  A change
-that alters any of these bytes must say why.
+one rollout loop, and covers a network policy on that path.  The
+discounted digest was retaken when ``abel_comparison`` began to average
+the costs left to right, as ``evaluate_policy`` does, instead of with
+``np.mean``'s pairwise sum, so one rollout gives one time average.  A
+change that alters any of these bytes must say why.
 """
 
 import hashlib
@@ -26,7 +29,7 @@ DIGESTS = {
     "greedy-tau": "38103a7e855c6bba021fd3aaecd9e10b3d46d2cfecfc6f934aa234395b5ec712",
     "greedy-cov": "4e8270dd4f4a51669efb7c7ddd92c09161b960a4eb78cf18113f5f7c16c448e5",
     "threshold": "dd28c426288f0ad2319400fc5f07ccb95ba3fc4f76475f822dbc06cc0f9ee3ee",
-    "discounted": "01b2a0df90376fce3829ca87e217571c29234274330017ad5453f5bce6d23755",
+    "discounted": "12b014460478719e1d43d08a5b646d9e17ae13fe7b87e6ff7ed9baf15fded917",
 }
 DQN_DIGEST = "cb0c46d6b12698766408055713586cb2da12e1e00912c58285663ea96bb30dd2"
 
@@ -53,6 +56,10 @@ def test_rollout_outputs_are_byte_identical():
                                  (0.9, 0.99, 0.999), STEPS, seed=SEED)
     got["discounted"] = sha256(repr(rows).encode())
     assert got == DIGESTS
+    scn = fresh()
+    report = evaluate_policy(scn, make_policy("greedy-cov", scn), STEPS,
+                             seed=SEED)
+    assert rows[0].time_average == report.empirical_avg_cost
 
 
 def test_greedy_dqn_report_is_byte_identical():

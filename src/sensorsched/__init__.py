@@ -16,17 +16,16 @@ from .channel import (ChannelModel, channel_reset, channel_step,
 from .dqn import (AgentState, DqnConfig, EpisodeRecord, ReplayBuffer,
                   act_epsilon_greedy, compute_targets, init_agent,
                   scheduling_policy_from, train, train_step, write_curve_csv)
-from .environment import (EnvState, SchedAction, SchedulingEnv, Transition,
-                          action_count, action_decode, action_encode,
-                          env_reset, env_step, observation_build, rollout)
+from .environment import (EnvState, SchedAction, Transition, action_count,
+                          action_decode, action_encode, env_reset, env_step,
+                          observation_build, rollout)
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
                      NumericalError, PersistenceError,
                      RiccatiConvergenceError, SensorSchedError,
                      TrainingDivergedError, VersionMismatchError)
 from .estimation import (ProcessModel, SteadyStateCache, TraceTable,
                          is_controllable, is_observable,
-                         propagate_covariance, remote_error_by_holding,
-                         steady_state_covariance)
+                         remote_error_by_holding, steady_state_covariance)
 from .harness import (CompareRow, EvalReport, Scenario, compare_all,
                       evaluate_policy, load_scenario, make_policy,
                       save_scenario, scenario_generate, write_compare_csv,

@@ -9,9 +9,9 @@ episode boundaries exist only to reset the simulator: no terminal masking
 is applied to the targets, and the transition spanning a reset is never
 stored.
 
-Ablation switches: ``use_replay=False`` fits each step on the most recent
-transition only, and ``target_sync_period=1`` degenerates the frozen copy
-to the online network.
+The ablation (``DqnConfig.ablated``) is the same loop with a replay memory
+and minibatch of one transition, so each step fits the latest transition,
+and a sync period of one, so the frozen copy is the online network.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .environment import (SchedulingEnv, Transition, action_count,
-                          action_decode, observation_build)
+from .channel import spawn_channel_rngs
+from .environment import (Transition, action_count, action_decode, env_reset,
+                          env_step, observation_build)
 from .errors import NumericalError, PersistenceError, TrainingDivergedError
 from .neural import (LrSchedule, MlpParams, adam_update, init_adam, init_mlp,
                      loss_and_gradient, mlp_forward)
@@ -57,21 +58,13 @@ class ReplayBuffer:
         self._columns.s_next[row] = transition.s_next
         self._added += 1
 
-    def _rows(self, idx):
-        cols = self._columns
-        return Transition(s=cols.s[idx], a=cols.a[idx], r=cols.r[idx],
-                          s_next=cols.s_next[idx])
-
-    def latest(self):
-        """The most recent transition as a batch of one."""
-        if not len(self):
-            raise IndexError("buffer is empty")
-        return self._rows([(self._added - 1) % self.capacity])
-
     def sample(self, batch_size, rng):
         if not len(self):
             raise IndexError("cannot sample from an empty buffer")
-        return self._rows(rng.integers(len(self), size=batch_size))
+        idx = rng.integers(len(self), size=batch_size)
+        cols = self._columns
+        return Transition(s=cols.s[idx], a=cols.a[idx], r=cols.r[idx],
+                          s_next=cols.s_next[idx])
 
 
 @dataclass
@@ -89,8 +82,6 @@ class DqnConfig:
     lr_initial: float = 1e-4
     lr_decay: float = 1e-3
     seed: int = 0
-    use_replay: bool = True
-    normalize_obs: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.discount < 1.0:
@@ -109,7 +100,8 @@ class DqnConfig:
 
     def ablated(self):
         """No replay, no frozen target: fit the latest transition only."""
-        return replace(self, use_replay=False, target_sync_period=1)
+        return replace(self, replay_capacity=1, minibatch_size=1,
+                       target_sync_period=1)
 
 
 @dataclass
@@ -156,25 +148,15 @@ def compute_targets(target_params, batch, discount):
     return targets
 
 
-def train_step(agent, env, buffer, obs, config, sched, rng_action, rng_batch):
-    """One interaction plus (once warm) one fitted minibatch.
+def train_step(agent, buffer, transition, config, sched, rng_batch):
+    """Learn from one acted transition.
 
-    Order per step: act, advance the environment, store the transition,
-    update the online network, count the step, maybe resync the frozen
-    copy, decay epsilon.  Returns (next observation, reward).
+    Order: store the transition, fit one minibatch once the buffer holds
+    one, count the step, maybe resync the frozen copy, decay epsilon.
     """
-    a_idx = act_epsilon_greedy(agent, obs, rng_action)
-    action = action_decode(a_idx, env.n_sensors, env.n_channels)
-    _, reward = env.step(action)
-    new_obs = env.observe(normalize=config.normalize_obs)
-    buffer.add(Transition(s=obs, a=a_idx, r=reward, s_next=new_obs))
-
-    warm = config.minibatch_size if config.use_replay else 1
-    if len(buffer) >= warm:
-        if config.use_replay:
-            batch = buffer.sample(config.minibatch_size, rng_batch)
-        else:
-            batch = buffer.latest()
+    buffer.add(transition)
+    if len(buffer) >= config.minibatch_size:
+        batch = buffer.sample(config.minibatch_size, rng_batch)
         targets = compute_targets(agent.target, batch, config.discount)
         _, grads = loss_and_gradient(agent.online, batch.s, batch.a, targets)
         adam_update(agent.online, grads, agent.opt, sched)
@@ -185,7 +167,6 @@ def train_step(agent, env, buffer, obs, config, sched, rng_action, rng_batch):
     agent.epsilon = max(
         config.epsilon_start * config.epsilon_decay ** agent.global_step,
         config.epsilon_min)
-    return new_obs, reward
 
 
 def train(config, scenario, timing=False):
@@ -195,9 +176,10 @@ def train(config, scenario, timing=False):
     noise, exploration, minibatch draws) derived from config.seed, so the
     whole run is reproducible bit for bit.  A non-finite episode cost or
     network output aborts with TrainingDivergedError carrying the partial
-    curve.  The returned weights always consume raw observations: if
-    training normalized the trace features, the scaling is folded into the
-    first layer before returning.
+    curve.  Each step acts on the normalized observation, advances the
+    MDP with ``env_step`` and hands the transition to ``train_step``.  The
+    returned weights consume raw observations: the trace scaling is folded
+    into the first layer before returning.
     """
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_env, ss_act, ss_batch = root.spawn(4)
@@ -209,19 +191,24 @@ def train(config, scenario, timing=False):
     m = len(scenario.channels)
     agent = init_agent(2 * n + m, action_count(n, m), config, rng_init)
     sched = LrSchedule(config.lr_initial, config.lr_decay)
-    env = SchedulingEnv(scenario, seed=ss_env)
+    chan_rngs = spawn_channel_rngs(ss_env, m)
     buffer = ReplayBuffer(config.replay_capacity)
 
     curve = []
     for episode in range(config.episodes):
         started = time.perf_counter() if timing else 0.0
-        env.reset()
-        obs = env.observe(normalize=config.normalize_obs)
+        state = env_reset(scenario)
+        obs = observation_build(state, scenario, normalize=True)
         total_cost = 0.0
         try:
             for _ in range(config.episode_length):
-                obs, reward = train_step(agent, env, buffer, obs, config,
-                                         sched, rng_act, rng_batch)
+                a_idx = act_epsilon_greedy(agent, obs, rng_act)
+                action = action_decode(a_idx, n, m)
+                state, reward = env_step(scenario, state, action, chan_rngs)
+                new_obs = observation_build(state, scenario, normalize=True)
+                step = Transition(s=obs, a=a_idx, r=reward, s_next=new_obs)
+                train_step(agent, buffer, step, config, sched, rng_batch)
+                obs = new_obs
                 total_cost -= reward
         except NumericalError as exc:
             raise TrainingDivergedError(
@@ -235,10 +222,7 @@ def train(config, scenario, timing=False):
             episode=episode, avg_cost=avg_cost, epsilon=agent.epsilon,
             lr=sched.rate(agent.opt.timestep), wall_seconds=elapsed))
 
-    weights = agent.online
-    if config.normalize_obs:
-        weights = fold_observation_scaling(weights, scenario)
-    return weights, curve
+    return fold_observation_scaling(agent.online, scenario), curve
 
 
 def fold_observation_scaling(params, scenario):

@@ -189,36 +189,3 @@ def observation_build(state, scenario, normalize=False):
     obs[2 * n:] = state.gamma_prev
     return obs
 
-
-class SchedulingEnv:
-    """Stateful wrapper owning the channel RNG substreams.
-
-    The substreams are created once from ``seed`` and persist across
-    resets, so successive episodes see fresh channel noise while the whole
-    run stays reproducible from the single seed.
-    """
-
-    def __init__(self, scenario, seed=0):
-        self.scenario = scenario
-        self._chan_rngs = spawn_channel_rngs(seed, len(scenario.channels))
-        self.state = env_reset(scenario)
-
-    @property
-    def n_sensors(self):
-        return len(self.scenario.processes)
-
-    @property
-    def n_channels(self):
-        return len(self.scenario.channels)
-
-    def reset(self):
-        self.state = env_reset(self.scenario)
-        return self.state
-
-    def step(self, action):
-        self.state, reward = env_step(self.scenario, self.state, action,
-                                      self._chan_rngs)
-        return self.state, reward
-
-    def observe(self, normalize=False):
-        return observation_build(self.state, self.scenario, normalize)

@@ -102,8 +102,12 @@ class ProcessModel:
                 raise ValueError("W must be symmetric")
             if not np.allclose(V, V.T, atol=_EIG_TOL):
                 raise ValueError("V must be symmetric")
-            W = _symmetrize(W)
-            V = _symmetrize(V)
+            with np.errstate(over="ignore"):
+                W = _symmetrize(W)
+                V = _symmetrize(V)
+            for name, mat in (("W", W), ("V", V)):
+                if not np.all(np.isfinite(mat)):
+                    raise ValueError(f"{name} overflows when symmetrized")
             if np.linalg.eigvalsh(W).min() < -_EIG_TOL:
                 raise ValueError("W must be positive semidefinite")
             if np.linalg.eigvalsh(V).min() <= _EIG_TOL:
@@ -141,17 +145,6 @@ class ProcessModel:
 
     def __repr__(self):
         return f"ProcessModel(n_x={self.n_x}, n_y={self.n_y})"
-
-
-def propagate_covariance(A, W, P):
-    """One open-loop step: A P A' + W, re-symmetrized against drift."""
-    A = np.asarray(A, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    if A.shape[0] != A.shape[1] or A.shape != W.shape or A.shape != P.shape:
-        raise ValueError(
-            f"conformability: A {A.shape}, W {W.shape}, P {P.shape}")
-    return _symmetrize(A @ P @ A.T + W)
 
 
 # Entries every cache computes up front; holding times past it grow the
@@ -290,24 +283,26 @@ def steady_state_covariance(model, tol=1e-10, max_iters=100_000):
     A, C, W, V = model.A, model.C, model.W, model.V
     eye = np.eye(model.n_x)
     P = W.copy()
-    for it in range(max_iters):
-        prior = A @ P @ A.T + W
-        S = C @ prior @ C.T + V
-        K = np.linalg.solve(S, C @ prior).T
-        IKC = eye - K @ C
-        P_next = _symmetrize(IKC @ prior @ IKC.T + K @ V @ K.T)
-        step = np.max(np.abs(P_next - P))
-        P = P_next
-        if step < tol:
-            break
-        if not isfinite(step):
+    # overflow ends in the non-finite check below; it is not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iters):
+            prior = A @ P @ A.T + W
+            S = C @ prior @ C.T + V
+            K = np.linalg.solve(S, C @ prior).T
+            IKC = eye - K @ C
+            P_next = _symmetrize(IKC @ prior @ IKC.T + K @ V @ K.T)
+            step = np.max(np.abs(P_next - P))
+            P = P_next
+            if step < tol:
+                break
+            if not isfinite(step):
+                raise RiccatiConvergenceError(
+                    f"non-finite iterate after {it + 1} iterations for "
+                    f"model with A={A.tolist()}")
+        else:
             raise RiccatiConvergenceError(
-                f"non-finite iterate after {it + 1} iterations for model "
-                f"with A={A.tolist()}")
-    else:
-        raise RiccatiConvergenceError(
-            f"no fixed point within {max_iters} iterations (tol={tol}) for "
-            f"model with A={A.tolist()}")
+                f"no fixed point within {max_iters} iterations (tol={tol}) "
+                f"for model with A={A.tolist()}")
     prior = A @ P @ A.T + W
     S = C @ prior @ C.T + V
     K = np.linalg.solve(S, C @ prior).T

@@ -17,6 +17,12 @@ def build_scenario(processes, channels, seed=0, metadata=None):
                     seed=seed, metadata=metadata or {})
 
 
+def open_loop_step(A, W, P):
+    """A P A' + W, symmetrized the way the trace tables do it."""
+    cov = A @ P @ A.T + W
+    return (cov + cov.T) * 0.5
+
+
 def resave_scenario(path, edit):
     """Apply ``edit`` to a saved scenario's payload in place, then store
     the payload again under a checksum that matches it."""

@@ -7,9 +7,8 @@ import pytest
 
 from sensorsched import (ChannelModel, ProcessModel, abel_comparison,
                          discounted_vs_average, init_mlp, policy_round_robin,
-                         propagate_covariance, scheduling_policy_from,
-                         spectral_radius, stability_check,
-                         success_shortfall_bound,
+                         scheduling_policy_from, spectral_radius,
+                         stability_check, success_shortfall_bound,
                          log_success_shortfall_bound,
                          threshold_policy_running_cost)
 from conftest import build_scenario

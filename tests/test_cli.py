@@ -1,11 +1,14 @@
 """End-to-end command-line checks through main(argv)."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sensorsched import init_mlp, load_scenario, load_weights, save_weights
+from sensorsched import (DqnConfig, init_mlp, load_scenario, load_weights,
+                         save_weights)
 from sensorsched.cli import (EXIT_GENERATION, EXIT_IO, EXIT_OK, SEED_ENV_VAR,
                              main)
 from conftest import resave_scenario
@@ -18,6 +21,8 @@ UNUSABLE_EDITS = {
     "diverging Riccati recursion":
         lambda doc: doc["processes"][0].update(
             A=[[1e160]], C=[[1.0]], W=[[1.0]], V=[[1.0]]),
+    "W overflows when symmetrized":
+        lambda doc: doc["processes"][0].update(W=[[1.7e308, 0.0], [0.0, 1.0]]),
 }
 TINY_CONFIG = {"episodes": 2, "episode_length": 30, "hidden_sizes": [8],
                "minibatch_size": 4, "replay_capacity": 64}
@@ -100,13 +105,26 @@ class TestTrain:
                      "--weights-out", str(tmp_path / "w.bin")])
         assert code == EXIT_IO
 
-    def test_unknown_config_key_exits_io_code(self, scenario_file, tmp_path):
+    # use_replay and normalize_obs were config keys once; files that
+    # still name them are rejected like any other unknown key
+    @pytest.mark.parametrize("key", ["learning_rate", "use_replay",
+                                     "normalize_obs"])
+    def test_unknown_config_key_exits_io_code(self, scenario_file, tmp_path,
+                                              key, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"episodes": 2, "learning_rate": 0.1}))
+        bad.write_text(json.dumps({"episodes": 2, key: False}))
         code = main(["train", "--scenario", str(scenario_file),
                      "--config", str(bad),
                      "--weights-out", str(tmp_path / "w.bin")])
         assert code == EXIT_IO
+        assert key in capsys.readouterr().err
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("Omitted fields keep their defaults:")[1]
+        example = json.loads(block.split("```json")[1].split("```")[0])
+        assert list(example) and set(example) == {
+            f.name for f in dataclasses.fields(DqnConfig)}
 
 
 class TestEval:
@@ -167,6 +185,7 @@ class TestEval:
                      "--policy", "random", "--steps", "100"])
         assert code == EXIT_IO
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("edit", UNUSABLE_EDITS.values(),
                              ids=UNUSABLE_EDITS.keys())
     def test_unusable_scenario_exits_io_code(self, scenario_file, edit):

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, DqnConfig, ProcessModel, ReplayBuffer,
-                         SchedulingEnv, Transition, TrainingDivergedError,
+                         Transition, TrainingDivergedError,
                          SensorSchedError, act_epsilon_greedy,
                          compute_targets, env_reset, init_agent, init_mlp,
                          make_policy, scheduling_policy_from, train,
@@ -35,6 +35,15 @@ def numbered(k):
                       s_next=np.full(2, k + 1.0))
 
 
+def acted(count, seed=0):
+    """``count`` random transitions shaped like the two-sensor scenario's
+    (5 observation features, 2 actions)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield Transition(s=rng.random(5), a=int(rng.integers(2)),
+                         r=-rng.random(), s_next=rng.random(5))
+
+
 def stored(buf):
     """The set of action labels a long sample can draw."""
     return set(buf.sample(2000, np.random.default_rng(0)).a.tolist())
@@ -47,14 +56,21 @@ class TestReplayBuffer:
             buf.add(numbered(k))
         assert len(buf) == 5
         assert stored(buf) == {4, 5, 6, 7, 8}
-        assert buf.latest().a.tolist() == [8]
 
-    def test_latest_before_wraparound(self):
+    def test_partial_fill_samples_added_rows_only(self):
         buf = ReplayBuffer(5)
         buf.add(numbered(1))
         buf.add(numbered(2))
-        assert buf.latest().a.tolist() == [2]
+        assert len(buf) == 2
         assert stored(buf) == {1, 2}
+
+    def test_capacity_one_samples_the_latest(self):
+        # the ablation's memory: every draw is the transition just added
+        buf = ReplayBuffer(1)
+        rng = np.random.default_rng(0)
+        for k in range(4):
+            buf.add(numbered(k))
+            assert buf.sample(3, rng).a.tolist() == [k, k, k]
 
     def test_sampling_uniform_with_replacement(self):
         buf = ReplayBuffer(3)
@@ -69,8 +85,6 @@ class TestReplayBuffer:
     def test_empty_buffer_raises(self):
         buf = ReplayBuffer(2)
         with pytest.raises(IndexError):
-            buf.latest()
-        with pytest.raises(IndexError):
             buf.sample(1, np.random.default_rng(0))
 
     @settings(deadline=None, max_examples=60)
@@ -82,7 +96,6 @@ class TestReplayBuffer:
             buf.add(numbered(k))
             model = (model + [k])[-capacity:]
             assert len(buf) == len(model)
-            assert buf.latest().a.tolist() == [model[-1]]
         assert stored(buf) == set(model)
         batch = buf.sample(50, np.random.default_rng(1))
         assert np.array_equal(batch.s[:, 0], batch.a)
@@ -95,30 +108,25 @@ class TestReplayBuffer:
 
 
 class TestEpsilonSchedule:
-    def test_closed_form_decay(self, two_sensor_scenario):
+    def test_closed_form_decay(self):
         cfg = tiny_config(episodes=1, episode_length=230)
-        env = SchedulingEnv(two_sensor_scenario, seed=0)
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
         sched = LrSchedule(cfg.lr_initial, cfg.lr_decay)
         buf = ReplayBuffer(cfg.replay_capacity)
-        rng_a = np.random.default_rng(1)
-        rng_b = np.random.default_rng(2)
-        obs = env.observe()
-        for _ in range(230):
-            obs, _ = train_step(agent, env, buf, obs, cfg, sched, rng_a, rng_b)
+        rng = np.random.default_rng(2)
+        for step in acted(230):
+            train_step(agent, buf, step, cfg, sched, rng)
         assert agent.epsilon == max(0.999 ** 230, 0.01)
         assert agent.epsilon == pytest.approx(0.7945, abs=5e-4)
 
-    def test_floor_reached(self, two_sensor_scenario):
+    def test_floor_reached(self):
         cfg = tiny_config(episodes=1, episode_length=1, epsilon_decay=0.5)
-        env = SchedulingEnv(two_sensor_scenario, seed=0)
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
         sched = LrSchedule(cfg.lr_initial, cfg.lr_decay)
         buf = ReplayBuffer(cfg.replay_capacity)
         rng = np.random.default_rng(1)
-        obs = env.observe()
-        for _ in range(10):
-            obs, _ = train_step(agent, env, buf, obs, cfg, sched, rng, rng)
+        for step in acted(10):
+            train_step(agent, buf, step, cfg, sched, rng)
         assert agent.epsilon == cfg.epsilon_min
 
 
@@ -190,67 +198,54 @@ class TestTargets:
 
 
 class TestTrainStepMechanics:
-    def _setup(self, scenario, cfg):
-        env = SchedulingEnv(scenario, seed=0)
-        n, m = env.n_sensors, env.n_channels
-        from sensorsched import action_count
-        agent = init_agent(2 * n + m, action_count(n, m), cfg,
-                           np.random.default_rng(0))
+    def _setup(self, cfg):
+        agent = init_agent(5, 2, cfg, np.random.default_rng(0))
         sched = LrSchedule(cfg.lr_initial, cfg.lr_decay)
         buf = ReplayBuffer(cfg.replay_capacity)
-        return env, agent, sched, buf
+        return agent, sched, buf, np.random.default_rng(2)
 
-    def test_no_update_until_minibatch_full(self, two_sensor_scenario):
+    def test_no_update_until_minibatch_full(self):
         cfg = tiny_config(minibatch_size=8)
-        env, agent, sched, buf = self._setup(two_sensor_scenario, cfg)
+        agent, sched, buf, rng = self._setup(cfg)
         frozen = agent.online.copy()
-        obs = env.observe(normalize=cfg.normalize_obs)
-        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(2)
-        for _ in range(7):
-            obs, _ = train_step(agent, env, buf, obs, cfg, sched, rng_a, rng_b)
+        steps = list(acted(8))
+        for step in steps[:7]:
+            train_step(agent, buf, step, cfg, sched, rng)
             assert params_equal(agent.online, frozen)
-        obs, _ = train_step(agent, env, buf, obs, cfg, sched, rng_a, rng_b)
+        train_step(agent, buf, steps[7], cfg, sched, rng)
         assert not params_equal(agent.online, frozen)
 
-    def test_ablation_updates_from_first_step(self, two_sensor_scenario):
-        cfg = tiny_config(use_replay=False)
-        env, agent, sched, buf = self._setup(two_sensor_scenario, cfg)
+    def test_ablation_updates_from_first_step(self):
+        cfg = tiny_config().ablated()
+        agent, sched, buf, rng = self._setup(cfg)
         frozen = agent.online.copy()
-        obs = env.observe(normalize=cfg.normalize_obs)
-        rng = np.random.default_rng(1)
-        train_step(agent, env, buf, obs, cfg, sched, rng, rng)
+        train_step(agent, buf, next(acted(1)), cfg, sched, rng)
         assert not params_equal(agent.online, frozen)
 
-    def test_target_sync_period(self, two_sensor_scenario):
+    def test_target_sync_period(self):
         cfg = tiny_config(target_sync_period=5, minibatch_size=2)
-        env, agent, sched, buf = self._setup(two_sensor_scenario, cfg)
-        obs = env.observe(normalize=cfg.normalize_obs)
-        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(2)
-        for step in range(1, 13):
-            obs, _ = train_step(agent, env, buf, obs, cfg, sched, rng_a, rng_b)
+        agent, sched, buf, rng = self._setup(cfg)
+        for step, transition in enumerate(acted(12), start=1):
+            train_step(agent, buf, transition, cfg, sched, rng)
             if step % 5 == 0:
                 assert params_equal(agent.target, agent.online)
         # off the sync boundary the target lags the online net
         assert agent.global_step == 12
         assert not params_equal(agent.target, agent.online)
 
-    def test_degenerate_sync_keeps_them_equal(self, two_sensor_scenario):
+    def test_degenerate_sync_keeps_them_equal(self):
         cfg = tiny_config(target_sync_period=1, minibatch_size=2)
-        env, agent, sched, buf = self._setup(two_sensor_scenario, cfg)
-        obs = env.observe(normalize=cfg.normalize_obs)
-        rng = np.random.default_rng(3)
-        for _ in range(6):
-            obs, _ = train_step(agent, env, buf, obs, cfg, sched, rng, rng)
+        agent, sched, buf, rng = self._setup(cfg)
+        for step in acted(6):
+            train_step(agent, buf, step, cfg, sched, rng)
             assert params_equal(agent.target, agent.online)
 
-    def test_target_frozen_between_syncs(self, two_sensor_scenario):
+    def test_target_frozen_between_syncs(self):
         cfg = tiny_config(target_sync_period=100, minibatch_size=2)
-        env, agent, sched, buf = self._setup(two_sensor_scenario, cfg)
-        obs = env.observe(normalize=cfg.normalize_obs)
-        rng = np.random.default_rng(3)
+        agent, sched, buf, rng = self._setup(cfg)
         snapshot = agent.target.copy()
-        for _ in range(20):
-            obs, _ = train_step(agent, env, buf, obs, cfg, sched, rng, rng)
+        for step in acted(20):
+            train_step(agent, buf, step, cfg, sched, rng)
         assert params_equal(agent.target, snapshot)
 
 
@@ -268,8 +263,7 @@ class TestTraining:
         for rec in curve:
             assert rec.avg_cost == pytest.approx(steady, rel=1e-9)
         policy = scheduling_policy_from(weights, scn)
-        action = policy(SchedulingEnv(scn, seed=0).state,
-                        np.random.default_rng(0))
+        action = policy(env_reset(scn), np.random.default_rng(0))
         assert action.assignment == (1,)
 
     def test_bit_identical_reruns(self, six_sensor_scenario):
@@ -356,7 +350,8 @@ class TestTraining:
         with pytest.raises(ValueError):
             DqnConfig(replay_capacity=8, minibatch_size=32)
         abl = DqnConfig().ablated()
-        assert abl.use_replay is False and abl.target_sync_period == 1
+        assert (abl.replay_capacity, abl.minibatch_size,
+                abl.target_sync_period) == (1, 1, 1)
 
 
 class TestCurveCsv:

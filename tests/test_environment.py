@@ -6,12 +6,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, EnvState, ProcessModel, SchedAction,
-                         SchedulingEnv, action_count, action_decode,
-                         action_encode, env_reset, env_step,
-                         observation_build, propagate_covariance,
+                         action_count, action_decode, action_encode,
+                         env_reset, env_step, observation_build,
                          spawn_channel_rngs)
 from sensorsched.environment import total_trace
-from conftest import build_scenario
+from conftest import build_scenario, open_loop_step
+
+
+def start(scenario, seed):
+    """A reset state and the channel streams spawned from ``seed``."""
+    return env_reset(scenario), spawn_channel_rngs(seed,
+                                                   len(scenario.channels))
 
 
 class TestActionCodec:
@@ -85,10 +90,11 @@ class TestStepDynamics:
         assert state.step_index == 0
 
     def test_perfect_channel_resets_scheduled_sensor(self, two_sensor_scenario):
-        env = SchedulingEnv(two_sensor_scenario, seed=0)
-        state, _ = env.step(SchedAction((1,)))
+        scn = two_sensor_scenario
+        state, rngs = start(scn, 0)
+        state, _ = env_step(scn, state, SchedAction((1,)), rngs)
         assert state.tau[0] == 0 and state.tau[1] == 1
-        state, _ = env.step(SchedAction((2,)))
+        state, _ = env_step(scn, state, SchedAction((2,)), rngs)
         assert state.tau[0] == 1 and state.tau[1] == 0
         assert state.step_index == 2
 
@@ -96,59 +102,62 @@ class TestStepDynamics:
         scn = build_scenario(
             [ProcessModel([[0.9]], [[1.0]], [[1.0]], [[1.0]])] * 2,
             [ChannelModel(1.0, 0.0)])
-        env = SchedulingEnv(scn, seed=0)
+        state, rngs = start(scn, 0)
         for k in range(1, 6):
-            state, _ = env.step(SchedAction((1,)))
+            state, _ = env_step(scn, state, SchedAction((1,)), rngs)
             assert state.tau.tolist() == [k, k]
             assert state.gamma_prev[0] == 0
 
     def test_reward_is_negative_total_trace(self, two_sensor_scenario):
-        env = SchedulingEnv(two_sensor_scenario, seed=0)
-        state, reward = env.step(SchedAction((1,)))
+        state, rngs = start(two_sensor_scenario, 0)
+        state, reward = env_step(two_sensor_scenario, state, SchedAction((1,)),
+                                 rngs)
         caches = two_sensor_scenario.caches
         want = -(caches[0].trace_at(0) + caches[1].trace_at(1))
         assert reward == pytest.approx(want, rel=1e-12)
 
     def test_reward_matches_matrix_route(self, six_sensor_scenario):
         # dual route: the scalar trace table vs full covariance matrices
-        env = SchedulingEnv(six_sensor_scenario, seed=3)
-        action = SchedAction((2, 4, 6))
         scn = six_sensor_scenario
+        state, rngs = start(scn, 3)
+        action = SchedAction((2, 4, 6))
         for _ in range(10):
-            state, reward = env.step(action)
+            state, reward = env_step(scn, state, action, rngs)
             want = 0.0
             for proc, cache, t in zip(scn.processes, scn.caches, state.tau):
                 mat = cache.pbar
                 for _ in range(int(t)):
-                    mat = propagate_covariance(proc.A, proc.W, mat)
+                    mat = open_loop_step(proc.A, proc.W, mat)
                 want -= float(np.trace(mat))
             assert reward == pytest.approx(want, rel=1e-9)
 
     def test_first_reward_brackets(self, six_sensor_scenario):
-        env = SchedulingEnv(six_sensor_scenario, seed=1)
-        _, reward = env.step(SchedAction((1, 2, 3)))
+        state, rngs = start(six_sensor_scenario, 1)
+        _, reward = env_step(six_sensor_scenario, state,
+                             SchedAction((1, 2, 3)), rngs)
         caches = six_sensor_scenario.caches
         low = -sum(c.trace_at(1) for c in caches)
         high = -sum(c.trace_at(0) for c in caches)
         assert low - 1e-12 <= reward <= high + 1e-12
 
     def test_action_validation(self, six_sensor_scenario):
-        env = SchedulingEnv(six_sensor_scenario, seed=0)
+        scn = six_sensor_scenario
+        state, rngs = start(scn, 0)
+        with pytest.raises(ValueError):  # wrong arity
+            env_step(scn, state, SchedAction((1, 2)), rngs)
+        with pytest.raises(ValueError):  # id out of range
+            env_step(scn, state, SchedAction((0, 1, 2)), rngs)
         with pytest.raises(ValueError):
-            env.step(SchedAction((1, 2)))  # wrong arity
-        with pytest.raises(ValueError):
-            env.step(SchedAction((0, 1, 2)))  # id out of range
-        with pytest.raises(ValueError):
-            env.step(SchedAction((1, 2, 7)))
+            env_step(scn, state, SchedAction((1, 2, 7)), rngs)
 
     def test_determinism_same_seed_same_path(self, six_sensor_scenario):
         actions = [action_decode(i % 120, 6, 3) for i in range(200)]
 
         def run():
-            env = SchedulingEnv(six_sensor_scenario, seed=99)
+            state, rngs = start(six_sensor_scenario, 99)
             taus, gammas, rewards = [], [], []
             for a in actions:
-                state, r = env.step(a)
+                state, r = env_step(six_sensor_scenario, state, a, rngs)
                 taus.append(state.tau.copy())
                 gammas.append(state.gamma_prev.copy())
                 rewards.append(r)
@@ -163,13 +172,19 @@ class TestStepDynamics:
     def test_reset_keeps_channel_streams_fresh(self, six_sensor_scenario):
         # two episodes after one reset differ (streams continue), but the
         # whole two-episode run is reproducible from the seed
+        scn = six_sensor_scenario
+        a = action_decode(17, 6, 3)
+
+        def episode(rngs):
+            state, rewards = env_reset(scn), []
+            for _ in range(50):
+                state, r = env_step(scn, state, a, rngs)
+                rewards.append(r)
+            return rewards
+
         def run():
-            env = SchedulingEnv(six_sensor_scenario, seed=5)
-            a = action_decode(17, 6, 3)
-            first = [env.step(a)[1] for _ in range(50)]
-            env.reset()
-            second = [env.step(a)[1] for _ in range(50)]
-            return first, second
+            rngs = spawn_channel_rngs(5, len(scn.channels))
+            return episode(rngs), episode(rngs)
 
         f1, s1 = run()
         f2, s2 = run()
@@ -270,8 +285,8 @@ class TestObservation:
         scn = build_scenario(
             [ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])] * 2,
             [ChannelModel(1.0, 1.0)])  # deterministic alternation
-        env = SchedulingEnv(scn, seed=0)
-        env.step(SchedAction((1,)))
-        assert env.observe()[-1] == 0.0
-        env.step(SchedAction((1,)))
-        assert env.observe()[-1] == 1.0
+        state, rngs = start(scn, 0)
+        state, _ = env_step(scn, state, SchedAction((1,)), rngs)
+        assert observation_build(state, scn)[-1] == 0.0
+        state, _ = env_step(scn, state, SchedAction((1,)), rngs)
+        assert observation_build(state, scn)[-1] == 1.0

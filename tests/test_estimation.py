@@ -17,16 +17,16 @@ from scipy.linalg import solve_discrete_are
 
 from sensorsched import (ProcessModel, RiccatiConvergenceError,
                          SteadyStateCache, TraceTable, is_controllable,
-                         is_observable,
-                         propagate_covariance, remote_error_by_holding,
+                         is_observable, remote_error_by_holding,
                          steady_state_covariance)
+from conftest import open_loop_step
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 REFERENCE_CAP = 6000
 
 
 def open_loop_reference(A, W, pbar, steps):
-    """Traces 0..steps of a plain propagate_covariance loop from pbar.
+    """Traces 0..steps of a plain open_loop_step loop from pbar.
 
     Returns (traces, freeze): from the first non-finite trace on every
     entry is +inf, the cache's overflow convention; ``freeze`` is the
@@ -36,7 +36,7 @@ def open_loop_reference(A, W, pbar, steps):
     cov, traces, freeze = pbar, [float(np.trace(pbar))], None
     with np.errstate(over="ignore", invalid="ignore"):
         while len(traces) <= steps:
-            nxt = propagate_covariance(A, W, cov)
+            nxt = open_loop_step(A, W, cov)
             tr = float(np.trace(nxt))
             if not np.isfinite(tr):
                 freeze = len(traces) if freeze is None else freeze
@@ -139,6 +139,14 @@ class TestModelValidation:
             ProcessModel(np.eye(2), [[1.0, 0.3]],
                          [[1.0, 0.5], [0.0, 1.0]], [[1.0]])
 
+    # (M + M') / 2 overflows for entries near the float64 limit
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["W", "V"])
+    def test_rejects_noise_that_overflows_when_symmetrized(self, name):
+        mats = {"W": np.eye(2), "V": np.eye(2), name: np.diag([1.7e308, 1.0])}
+        with pytest.raises(ValueError, match=f"{name} overflows"):
+            ProcessModel(np.eye(2), np.eye(2), mats["W"], mats["V"])
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             ProcessModel(np.eye(2), [[1.0, 0.0]], np.eye(3), [[1.0]])
@@ -173,7 +181,7 @@ class TestCovariancePropagation:
         for tau in range(12):
             assert cache.trace_at(tau) == pytest.approx(float(np.trace(mat)),
                                                         rel=1e-12)
-            mat = propagate_covariance(golden_model.A, golden_model.W, mat)
+            mat = open_loop_step(golden_model.A, golden_model.W, mat)
 
     def test_traces_nondecreasing_in_holding_time(self):
         # open-loop propagation is operator-monotone and the prior dominates
@@ -216,10 +224,6 @@ class TestCovariancePropagation:
         assert frozen < 100 and cache.frozen
         assert far == cache.trace_powers[-1] == 4.0 / 3.0
         assert len(cache.trace_powers) == frozen
-
-    def test_propagate_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="conformability"):
-            propagate_covariance(np.eye(2), np.eye(3), np.eye(2))
 
     def test_negative_holding_time_rejected(self, golden_cache):
         with pytest.raises(ValueError):

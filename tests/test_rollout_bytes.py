@@ -5,7 +5,10 @@ vectorised rollout replaced.  At 400 steps greedy-cov leaves open-loop
 stable sensors unscheduled past the step at which their trace tables
 freeze, so the frozen lookups are covered too.  The greedy-dqn digest at
 6 sensors and 3 channels was taken before every evaluation went through
-one rollout loop, and covers a network policy on that path.  The
+one rollout loop, and covers a network policy on that path.  The ablated
+training digest (weights and per-episode costs of the same run with
+neither replay nor a frozen target) was taken while the ablation still had
+its own no-replay branch, so it pins the capacity-1 form of it.  The
 discounted digest was retaken when ``abel_comparison`` began to average
 the costs left to right, as ``evaluate_policy`` does, instead of with
 ``np.mean``'s pairwise sum, so one rollout gives one time average.  A
@@ -32,6 +35,7 @@ DIGESTS = {
     "discounted": "12b014460478719e1d43d08a5b646d9e17ae13fe7b87e6ff7ed9baf15fded917",
 }
 DQN_DIGEST = "cb0c46d6b12698766408055713586cb2da12e1e00912c58285663ea96bb30dd2"
+ABLATED_DIGEST = "e128923d858fc7ec32ba008aa61fc5fac873595ddc41f3cd49663460a232fa90"
 
 
 def sha256(data):
@@ -62,15 +66,25 @@ def test_rollout_outputs_are_byte_identical():
     assert rows[0].time_average == report.empirical_avg_cost
 
 
+def dqn_config():
+    return DqnConfig(episodes=2, episode_length=100, hidden_sizes=(32,),
+                     minibatch_size=16, replay_capacity=256,
+                     epsilon_decay=0.98, lr_initial=1e-3, seed=SEED)
+
+
 def test_greedy_dqn_report_is_byte_identical():
     scn = scenario_generate(6, 3, seed=SEED)
-    config = DqnConfig(episodes=2, episode_length=100, hidden_sizes=(32,),
-                       minibatch_size=16, replay_capacity=256,
-                       epsilon_decay=0.98, lr_initial=1e-3, seed=SEED)
-    weights, _ = train(config, scn)
+    weights, _ = train(dqn_config(), scn)
     report = evaluate_policy(scn, make_policy("dqn", scn, weights=weights),
                              STEPS, seed=SEED, name="dqn")
     assert sha256(repr(report).encode()) == DQN_DIGEST
+
+
+def test_ablated_training_is_byte_identical():
+    scn = scenario_generate(6, 3, seed=SEED)
+    weights, curve = train(dqn_config().ablated(), scn)
+    costs = repr([rec.avg_cost for rec in curve]).encode()
+    assert sha256(weights.flat.tobytes() + costs) == ABLATED_DIGEST
 
 
 def test_greedy_cov_reads_past_frozen_entries():

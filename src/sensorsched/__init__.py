@@ -30,8 +30,8 @@ from .harness import (CompareRow, EvalReport, Scenario, compare_all,
                       evaluate_policy, load_scenario, make_policy,
                       save_scenario, scenario_generate, write_compare_csv,
                       write_eval_report)
-from .neural import (AdamState, LrSchedule, MlpParams, adam_update, init_adam,
-                     init_mlp, load_weights, loss_and_gradient, mlp_forward,
+from .neural import (AdamState, MlpParams, adam_update, init_adam, init_mlp,
+                     load_weights, loss_and_gradient, mlp_forward,
                      save_weights)
 from .policies import (POLICY_NAMES, policy_greedy_covariance,
                        policy_greedy_holding, policy_random,

@@ -24,10 +24,9 @@ class ChannelModel:
             raise ValueError(f"p and q must lie in [0, 1], got p={self.p} q={self.q}")
 
 
-def channel_reset(models, good=True):
-    """Initial 0/1 outcomes, one int64 per channel; all good by default."""
-    fill = 1 if good else 0
-    return np.full(len(models), fill, dtype=np.int64)
+def channel_reset(models):
+    """Initial 0/1 outcomes, one int64 per channel, all good."""
+    return np.ones(len(models), dtype=np.int64)
 
 
 def channel_step(models, gamma, rngs):

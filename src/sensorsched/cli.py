@@ -35,16 +35,23 @@ def _default_seed():
     if value is None:
         return 0
     try:
-        return int(value)
-    except ValueError:
-        raise PersistenceError(
-            f"{SEED_ENV_VAR}={value!r} is not an integer") from None
+        return _seed(value)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise PersistenceError(f"{SEED_ENV_VAR}={value!r} is not a "
+                               f"non-negative integer") from None
 
 
 def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -56,6 +63,8 @@ def _load_config(path, seed_override=None):
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise PersistenceError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise PersistenceError(f"{path}: config must be a JSON object")
         known = {f.name for f in dataclasses.fields(dqn.DqnConfig)}
         unknown = set(data) - known
         if unknown:
@@ -90,7 +99,7 @@ def _cmd_train(args):
     weights, curve = dqn.train(config, scenario, timing=args.timing)
     save_weights(weights, args.weights_out)
     if args.curve_out:
-        dqn.write_curve_csv(curve, args.curve_out, timing=args.timing)
+        dqn.write_curve_csv(curve, args.curve_out)
     print(f"trained {config.episodes} episodes; final avg cost "
           f"{curve[-1].avg_cost:.4f}; weights -> {args.weights_out}")
     return EXIT_OK
@@ -124,8 +133,7 @@ def _cmd_compare(args):
         include_ablation=not args.no_ablation, timing=args.timing)
     harness.write_compare_csv(rows, args.out)
     if args.curve_out and artifacts.get("dqn", {}).get("curve"):
-        dqn.write_curve_csv(artifacts["dqn"]["curve"], args.curve_out,
-                            timing=args.timing)
+        dqn.write_curve_csv(artifacts["dqn"]["curve"], args.curve_out)
     width = max(len(r.policy) for r in rows)
     for row in rows:
         note = f"  ({row.note})" if row.note else ""
@@ -155,7 +163,7 @@ def build_parser():
     gen = sub.add_parser("gen-scenario", help="draw and save a random scenario")
     gen.add_argument("--n", type=int, default=6, help="number of sensors")
     gen.add_argument("--m", type=int, default=3, help="number of channels")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=_seed, default=None)
     gen.add_argument("--out", required=True)
     gen.add_argument("--allow-unstable", action="store_true",
                      help="skip the boundedness condition during rejection")
@@ -166,7 +174,7 @@ def build_parser():
     tr.add_argument("--config", default=None, help="JSON file of config fields")
     tr.add_argument("--weights-out", required=True)
     tr.add_argument("--curve-out", default=None, help="per-episode CSV path")
-    tr.add_argument("--seed", type=int, default=None)
+    tr.add_argument("--seed", type=_seed, default=None)
     tr.add_argument("--timing", action="store_true",
                     help="record wall-clock time per episode in the curve")
     tr.set_defaults(func=_cmd_train)
@@ -176,7 +184,7 @@ def build_parser():
     ev.add_argument("--policy", required=True, choices=POLICY_NAMES)
     ev.add_argument("--weights", default=None)
     ev.add_argument("--steps", type=_positive_int, default=50_000)
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--seed", type=_seed, default=None)
     ev.add_argument("--out", default=None, help="write the report as JSON")
     ev.set_defaults(func=_cmd_eval)
 
@@ -187,7 +195,7 @@ def build_parser():
     cmp_.add_argument("--out", required=True, help="CSV path for the table")
     cmp_.add_argument("--curve-out", default=None)
     cmp_.add_argument("--eval-steps", type=_positive_int, default=50_000)
-    cmp_.add_argument("--seed", type=int, default=None)
+    cmp_.add_argument("--seed", type=_seed, default=None)
     cmp_.add_argument("--no-ablation", action="store_true")
     cmp_.add_argument("--timing", action="store_true")
     cmp_.set_defaults(func=_cmd_compare)

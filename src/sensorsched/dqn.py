@@ -17,6 +17,7 @@ and a sync period of one, so the frozen copy is the online network.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -26,7 +27,7 @@ from .channel import spawn_channel_rngs
 from .environment import (Transition, action_count, action_decode, env_reset,
                           env_step, observation_build)
 from .errors import NumericalError, PersistenceError, TrainingDivergedError
-from .neural import (LrSchedule, MlpParams, adam_update, init_adam, init_mlp,
+from .neural import (MlpParams, adam_update, init_adam, init_mlp,
                      loss_and_gradient, mlp_forward)
 
 
@@ -67,6 +68,14 @@ class ReplayBuffer:
                           s_next=cols.s_next[idx])
 
 
+_INTEGER_FIELDS = ("target_sync_period", "minibatch_size", "replay_capacity",
+                   "episode_length", "episodes", "seed")
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class DqnConfig:
     discount: float = 0.95
@@ -84,6 +93,16 @@ class DqnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise TypeError(f"{name} must be an integer, "
+                                f"got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.hidden_sizes, (list, tuple)) or not all(
+                _is_integer(h) and h >= 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be a list of positive "
+                             f"integers, got {self.hidden_sizes!r}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must be in (0, 1)")
         if not 0.0 <= self.epsilon_min <= self.epsilon_start <= 1.0:
@@ -96,7 +115,14 @@ class DqnConfig:
             raise ValueError("replay capacity must hold at least one minibatch")
         if self.episode_length < 1 or self.episodes < 1:
             raise ValueError("episodes and episode_length must be >= 1")
+        if not (self.lr_initial > 0.0 and self.lr_decay >= 0.0):  # NaN too
+            raise ValueError("need lr_initial > 0 and lr_decay >= 0")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+
+    def learning_rate(self, updates):
+        """Inverse-time decay: the Adam step size after ``updates`` fitted
+        minibatches, so the very first update uses lr_initial."""
+        return self.lr_initial / (1.0 + self.lr_decay * updates)
 
     def ablated(self):
         """No replay, no frozen target: fit the latest transition only."""
@@ -148,7 +174,7 @@ def compute_targets(target_params, batch, discount):
     return targets
 
 
-def train_step(agent, buffer, transition, config, sched, rng_batch):
+def train_step(agent, buffer, transition, config, rng_batch):
     """Learn from one acted transition.
 
     Order: store the transition, fit one minibatch once the buffer holds
@@ -159,7 +185,8 @@ def train_step(agent, buffer, transition, config, sched, rng_batch):
         batch = buffer.sample(config.minibatch_size, rng_batch)
         targets = compute_targets(agent.target, batch, config.discount)
         _, grads = loss_and_gradient(agent.online, batch.s, batch.a, targets)
-        adam_update(agent.online, grads, agent.opt, sched)
+        adam_update(agent.online, grads, agent.opt,
+                    config.learning_rate(agent.opt.timestep))
 
     agent.global_step += 1
     if agent.global_step % config.target_sync_period == 0:
@@ -190,7 +217,6 @@ def train(config, scenario, timing=False):
     n = len(scenario.processes)
     m = len(scenario.channels)
     agent = init_agent(2 * n + m, action_count(n, m), config, rng_init)
-    sched = LrSchedule(config.lr_initial, config.lr_decay)
     chan_rngs = spawn_channel_rngs(ss_env, m)
     buffer = ReplayBuffer(config.replay_capacity)
 
@@ -207,7 +233,7 @@ def train(config, scenario, timing=False):
                 state, reward = env_step(scenario, state, action, chan_rngs)
                 new_obs = observation_build(state, scenario, normalize=True)
                 step = Transition(s=obs, a=a_idx, r=reward, s_next=new_obs)
-                train_step(agent, buffer, step, config, sched, rng_batch)
+                train_step(agent, buffer, step, config, rng_batch)
                 obs = new_obs
                 total_cost -= reward
         except NumericalError as exc:
@@ -220,7 +246,8 @@ def train(config, scenario, timing=False):
         elapsed = time.perf_counter() - started if timing else 0.0
         curve.append(EpisodeRecord(
             episode=episode, avg_cost=avg_cost, epsilon=agent.epsilon,
-            lr=sched.rate(agent.opt.timestep), wall_seconds=elapsed))
+            lr=config.learning_rate(agent.opt.timestep),
+            wall_seconds=elapsed))
 
     return fold_observation_scaling(agent.online, scenario), curve
 
@@ -262,9 +289,9 @@ def scheduling_policy_from(params, scenario):
     return policy
 
 
-def write_curve_csv(curve, path, timing=False):
-    """One row per episode.  Wall-clock timing is zeroed unless requested,
-    so identical seeds produce byte-identical files."""
+def write_curve_csv(curve, path):
+    """One row per episode.  ``train`` records wall-clock time only when
+    asked to, so identical seeds produce byte-identical files."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "avg_cost", "epsilon", "lr",
@@ -272,4 +299,4 @@ def write_curve_csv(curve, path, timing=False):
         for rec in curve:
             writer.writerow([
                 rec.episode, repr(rec.avg_cost), repr(rec.epsilon),
-                repr(rec.lr), repr(rec.wall_seconds) if timing else "0.0"])
+                repr(rec.lr), repr(rec.wall_seconds)])

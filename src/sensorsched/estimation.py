@@ -120,8 +120,6 @@ class ProcessModel:
         self.C = C
         self.W = W
         self.V = V
-        self._w_sqrt = None
-        self._v_sqrt = None
 
     @property
     def n_x(self):
@@ -130,18 +128,6 @@ class ProcessModel:
     @property
     def n_y(self):
         return self.C.shape[0]
-
-    @property
-    def w_sqrt(self):
-        if self._w_sqrt is None:
-            self._w_sqrt = _psd_sqrt(self.W)
-        return self._w_sqrt
-
-    @property
-    def v_sqrt(self):
-        if self._v_sqrt is None:
-            self._v_sqrt = _psd_sqrt(self.V)
-        return self._v_sqrt
 
     def __repr__(self):
         return f"ProcessModel(n_x={self.n_x}, n_y={self.n_y})"
@@ -326,7 +312,7 @@ def remote_error_by_holding(model, cache, receive_prob, collect_steps,
     A, C = model.A, model.C
     K = cache.kalman_gain
     n, ny = model.n_x, model.n_y
-    sq_w, sq_v = model.w_sqrt, model.v_sqrt
+    sq_w, sq_v = _psd_sqrt(model.W), _psd_sqrt(model.V)
     sq_p = _psd_sqrt(cache.pbar)
 
     xhat = np.zeros((replicas, n))

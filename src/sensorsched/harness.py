@@ -1,12 +1,12 @@
 """Scenario generation, persistence, policy evaluation, and comparison.
 
-A scenario bundles N process models, M loss channels, and the per-process
-steady-state caches.  Generation draws symmetric A matrices through random
-orthogonal conjugation of uniform eigenvalues, uniform measurement rows,
-conjugated uniform noise spectra, and uniform channel rates, rejecting
-draws until the structural checks (and, by default, the boundedness
-condition) pass.  Everything is reproducible: one seed fixes the scenario,
-and a saved file round trips byte for byte.
+A scenario bundles N process models and M loss channels and derives the
+per-process steady-state caches.  Generation draws symmetric A matrices
+through random orthogonal conjugation of uniform eigenvalues, uniform
+measurement rows, conjugated uniform noise spectra, and uniform channel
+rates, rejecting draws until the structural checks (and, by default, the
+boundedness condition) pass.  Everything is reproducible: one seed fixes
+the scenario, and a saved file round trips byte for byte.
 """
 
 from __future__ import annotations
@@ -33,28 +33,27 @@ from .policies import (POLICY_NAMES, policy_greedy_covariance,
 
 _FORMAT = "sensorsched-scenario"
 _VERSION = 1
+# scenario_generate's draw ranges and attempt budget
+_EIG_RANGE = (0.0, 1.3)
+_NOISE_RANGE = (0.2, 1.0)
+_MAX_ATTEMPTS = 1000
 
 
 @dataclass
 class Scenario:
+    """N processes and M channels.  Construction derives one steady-state
+    cache per process (or raises RiccatiConvergenceError) and ``traces``,
+    the caches' trace tables as the rows of one array."""
     processes: list
     channels: list
-    caches: list
     seed: int
     metadata: dict = field(default_factory=dict)
-    # the caches' trace tables as the rows of one array
+    caches: list = field(init=False, repr=False, compare=False)
     traces: TraceTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.caches = [steady_state_covariance(p) for p in self.processes]
         self.traces = TraceTable(self.caches)
-
-    @property
-    def n_sensors(self):
-        return len(self.processes)
-
-    @property
-    def n_channels(self):
-        return len(self.channels)
 
 
 def _random_orthogonal(dim, rng):
@@ -64,22 +63,20 @@ def _random_orthogonal(dim, rng):
     return q * np.sign(np.diag(r))
 
 
-def _draw_process(rng, state_dim, meas_dim, eig_low, eig_high,
-                  noise_low, noise_high):
+def _draw_process(rng, state_dim, meas_dim):
     basis = _random_orthogonal(state_dim, rng)
-    eigs = rng.uniform(eig_low, eig_high, size=state_dim)
+    eigs = rng.uniform(*_EIG_RANGE, size=state_dim)
     A = basis @ np.diag(eigs) @ basis.T
     C = rng.uniform(0.0, 1.0, size=(meas_dim, state_dim))
     wq = _random_orthogonal(state_dim, rng)
-    W = wq @ np.diag(rng.uniform(noise_low, noise_high, size=state_dim)) @ wq.T
+    W = wq @ np.diag(rng.uniform(*_NOISE_RANGE, size=state_dim)) @ wq.T
     vq = _random_orthogonal(meas_dim, rng)
-    V = vq @ np.diag(rng.uniform(noise_low, noise_high, size=meas_dim)) @ vq.T
+    V = vq @ np.diag(rng.uniform(*_NOISE_RANGE, size=meas_dim)) @ vq.T
     return ProcessModel(A, C, W, V)
 
 
 def scenario_generate(n_sensors, n_channels, seed, require_stable=True,
-                      state_dim=2, meas_dim=1, eig_range=(0.0, 1.3),
-                      noise_range=(0.2, 1.0), max_attempts=1000):
+                      state_dim=2, meas_dim=1):
     """Draw a random scenario, rejecting invalid or (optionally) unstable ones.
 
     Each attempt uses its own RNG substream, so the accepted scenario is a
@@ -88,33 +85,28 @@ def scenario_generate(n_sensors, n_channels, seed, require_stable=True,
     if not 1 <= n_channels <= n_sensors:
         raise GenerationError(f"need 1 <= n_channels <= n_sensors, got "
                               f"{n_channels} channels, {n_sensors} sensors")
-    children = np.random.SeedSequence(seed).spawn(max_attempts)
-    for attempt in range(max_attempts):
+    children = np.random.SeedSequence(seed).spawn(_MAX_ATTEMPTS)
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.Generator(np.random.Philox(children[attempt]))
         try:
-            processes = [
-                _draw_process(rng, state_dim, meas_dim, *eig_range,
-                              *noise_range)
-                for _ in range(n_sensors)]
+            processes = [_draw_process(rng, state_dim, meas_dim)
+                         for _ in range(n_sensors)]
         except ValueError:
             continue  # failed a structural check; redraw
         channels = [ChannelModel(p=float(rng.uniform()),
                                  q=float(rng.uniform()))
                     for _ in range(n_channels)]
+        metadata = {"attempt": attempt, "require_stable": require_stable,
+                    "state_dim": state_dim, "meas_dim": meas_dim}
         try:
-            caches = [steady_state_covariance(p) for p in processes]
+            scenario = Scenario(processes, channels, int(seed), metadata)
         except RiccatiConvergenceError:
             continue
-        scenario = Scenario(
-            processes=processes, channels=channels, caches=caches,
-            seed=int(seed),
-            metadata={"attempt": attempt, "require_stable": require_stable,
-                      "state_dim": state_dim, "meas_dim": meas_dim})
         if require_stable and not stability_check(scenario).satisfied:
             continue
         return scenario
     raise GenerationError(
-        f"no acceptable scenario in {max_attempts} attempts (seed={seed}, "
+        f"no acceptable scenario in {_MAX_ATTEMPTS} attempts (seed={seed}, "
         f"require_stable={require_stable})")
 
 
@@ -145,7 +137,7 @@ def save_scenario(scenario, path):
 
 
 def load_scenario(path):
-    """Parse, verify checksum and version, and rebuild the derived caches."""
+    """Parse, verify checksum and version, and rebuild the scenario."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -176,11 +168,9 @@ def load_scenario(path):
             f"{path}: need 1 <= channels <= processes, got {len(channels)} "
             f"channels, {len(processes)} processes")
     try:
-        caches = [steady_state_covariance(p) for p in processes]
+        return Scenario(processes, channels, seed, metadata)
     except RiccatiConvergenceError as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
-    return Scenario(processes=processes, channels=channels, caches=caches,
-                    seed=seed, metadata=metadata)
 
 
 @dataclass
@@ -222,7 +212,7 @@ def evaluate_policy(scenario, policy, steps, seed=0, name="policy"):
         mean_trace = (trace_sums / len(costs)).tolist()
     else:
         avg = float("inf")
-        mean_trace = [avg] * scenario.n_sensors
+        mean_trace = [avg] * len(scenario.processes)
     return EvalReport(policy=name, steps=len(costs), empirical_avg_cost=avg,
                       per_sensor_mean_trace=mean_trace, seed=int(seed),
                       overflow_step=overflow_step)

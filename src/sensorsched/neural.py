@@ -129,20 +129,6 @@ def loss_and_gradient(params, inputs, actions, targets):
 
 
 @dataclass
-class LrSchedule:
-    """Inverse-time decay: rate(t) = alpha0 / (1 + decay * t)."""
-    alpha0: float = 1e-4
-    decay: float = 1e-3
-
-    def __post_init__(self):
-        if self.alpha0 <= 0.0 or self.decay < 0.0:
-            raise ValueError("need alpha0 > 0 and decay >= 0")
-
-    def rate(self, timestep):
-        return self.alpha0 / (1.0 + self.decay * timestep)
-
-
-@dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
@@ -153,10 +139,8 @@ def init_adam(params):
     return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_update(params, grads, opt, sched):
-    """One Adam step in place; the step size comes from the schedule at the
-    pre-increment timestep, so the very first update uses alpha0."""
-    rate = sched.rate(opt.timestep)
+def adam_update(params, grads, opt, rate):
+    """One Adam step of size ``rate`` in place."""
     t = opt.timestep + 1
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t

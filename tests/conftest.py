@@ -10,13 +10,6 @@ from sensorsched import (ChannelModel, ProcessModel, Scenario,
 from sensorsched.harness import _payload_checksum
 
 
-def build_scenario(processes, channels, seed=0, metadata=None):
-    """Assemble a Scenario from explicit models, computing the caches."""
-    return Scenario(processes=list(processes), channels=list(channels),
-                    caches=[steady_state_covariance(p) for p in processes],
-                    seed=seed, metadata=metadata or {})
-
-
 def open_loop_step(A, W, P):
     """A P A' + W, symmetrized the way the trace tables do it."""
     cov = A @ P @ A.T + W
@@ -49,7 +42,7 @@ def two_sensor_scenario():
     """Two scalar processes, one perfect channel; fully hand-checkable."""
     p1 = ProcessModel([[1.0]], [[1.0]], [[1.0]], [[1.0]])
     p2 = ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])
-    return build_scenario([p1, p2], [ChannelModel(0.0, 1.0)])
+    return Scenario([p1, p2], [ChannelModel(0.0, 1.0)], seed=0)
 
 
 @pytest.fixture
@@ -66,7 +59,7 @@ def six_sensor_scenario():
                  for r, w in zip(rhos, noises)]
     channels = [ChannelModel(0.2, 0.8), ChannelModel(0.3, 0.7),
                 ChannelModel(0.1, 0.9)]
-    return build_scenario(processes, channels)
+    return Scenario(processes, channels, seed=0)
 
 
 @pytest.fixture

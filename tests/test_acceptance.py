@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sensorsched import (ChannelModel, DqnConfig, ProcessModel,
+from sensorsched import (ChannelModel, DqnConfig, ProcessModel, Scenario,
                          action_count, action_decode, action_encode,
                          channel_reset, channel_step, evaluate_policy,
                          init_mlp, log_success_shortfall_bound,
@@ -243,10 +243,9 @@ def test_criterion_06_stability_margin_monotone_and_bound_root():
 
 
 def _single_sensor_scenario(rho, q):
-    from conftest import build_scenario
-    return build_scenario(
+    return Scenario(
         [ProcessModel([[rho]], [[1.0]], [[1.0]], [[1.0]])],
-        [ChannelModel(0.5, q)])
+        [ChannelModel(0.5, q)], seed=0)
 
 
 def test_criterion_07_threshold_policy_keeps_cost_bounded():

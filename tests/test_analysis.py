@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sensorsched import (ChannelModel, ProcessModel, abel_comparison,
-                         discounted_vs_average, init_mlp, policy_round_robin,
-                         scheduling_policy_from, spectral_radius,
-                         stability_check, success_shortfall_bound,
-                         log_success_shortfall_bound,
+from sensorsched import (ChannelModel, ProcessModel, Scenario,
+                         abel_comparison, discounted_vs_average, init_mlp,
+                         policy_round_robin, scheduling_policy_from,
+                         spectral_radius, stability_check,
+                         success_shortfall_bound, log_success_shortfall_bound,
                          threshold_policy_running_cost)
-from conftest import build_scenario
 
 
 def closed_form_radius_2x2(m):
@@ -42,9 +41,9 @@ class TestSpectralRadius:
 
 def margin_scenario(rho, q_best):
     """One scalar sensor at radius rho, channels whose best success is q_best."""
-    return build_scenario(
+    return Scenario(
         [ProcessModel([[rho]], [[1.0]], [[1.0]], [[1.0]])],
-        [ChannelModel(0.5, q_best)])
+        [ChannelModel(0.5, q_best)], seed=0)
 
 
 class TestStabilityCheck:
@@ -67,10 +66,10 @@ class TestStabilityCheck:
         assert not rep.satisfied
 
     def test_uses_best_channel_and_worst_sensor(self):
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]]),
              ProcessModel([[1.3]], [[1.0]], [[1.0]], [[1.0]])],
-            [ChannelModel(0.5, 0.1), ChannelModel(0.5, 0.9)])
+            [ChannelModel(0.5, 0.1), ChannelModel(0.5, 0.9)], seed=0)
         rep = stability_check(scn)
         assert rep.rho_max == pytest.approx(1.3)
         assert rep.q_max == pytest.approx(0.9)
@@ -147,10 +146,10 @@ class TestThresholdPolicy:
         a2 = np.array([[0.3]])
         w1 = np.eye(2) * 0.5
         w2 = np.array([[0.8]])
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel(a1, [[1.0, 0.0]], w1, [[0.4]]),
              ProcessModel(a2, [[1.0]], w2, [[0.4]])],
-            [ChannelModel(0.2, 0.8)])
+            [ChannelModel(0.2, 0.8)], seed=0)
         curve = threshold_policy_running_cost(scn, threshold=10**9,
                                               steps=4000, seed=0)
         expected = lyapunov_trace(a1, w1) + lyapunov_trace(a2, w2)
@@ -161,9 +160,9 @@ class TestThresholdPolicy:
         # sensor transmits once its holding time passes 2, giving a
         # deterministic period-4 cycle in (tau1, tau2)
         proc = ProcessModel([[1.1]], [[1.0]], [[1.0]], [[1.0]])
-        scn = build_scenario([proc, ProcessModel([[1.1]], [[1.0]], [[1.0]],
-                                                 [[1.0]])],
-                             [ChannelModel(0.0, 1.0)])
+        scn = Scenario([proc, ProcessModel([[1.1]], [[1.0]], [[1.0]],
+                                           [[1.0]])],
+                       [ChannelModel(0.0, 1.0)], seed=0)
         curve = threshold_policy_running_cost(scn, threshold=2, steps=20000,
                                               seed=0)
         cache = scn.caches[0]
@@ -224,9 +223,9 @@ class TestDiscountComparison:
     def test_overflow_inside_network_policy_gives_inf_rows(self, rng):
         # a starved unstable sensor: once the observation overflows the
         # network cannot evaluate, which reads as an unbounded cost
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
-            [ChannelModel(1.0, 0.0)])
+            [ChannelModel(1.0, 0.0)], seed=0)
         pol = scheduling_policy_from(init_mlp((3, 4, 1), rng), scn)
         rows = discounted_vs_average(scn, pol, [0.9, 0.99], horizon=3000)
         assert [(r.delta, r.discounted, r.time_average) for r in rows] == [

@@ -9,7 +9,8 @@ from sensorsched import (ChannelModel, channel_reset, channel_step,
 
 def run_chain(model, steps, seed=0, start_good=True):
     rngs = spawn_channel_rngs(seed, 1)
-    state = channel_reset([model], good=start_good)
+    state = (channel_reset([model]) if start_good
+             else np.zeros(1, np.int64))
     path = np.empty(steps, dtype=np.int64)
     for k in range(steps):
         state = channel_step([model], state, rngs)
@@ -133,5 +134,5 @@ class TestValidationAndDeterminism:
 
     def test_reset_state_choice(self):
         models = [ChannelModel(0.5, 0.5)] * 3
-        assert np.all(channel_reset(models) == 1)
-        assert np.all(channel_reset(models, good=False) == 0)
+        state = channel_reset(models)
+        assert state.dtype == np.int64 and np.all(state == 1)

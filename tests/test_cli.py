@@ -26,6 +26,23 @@ UNUSABLE_EDITS = {
 }
 TINY_CONFIG = {"episodes": 2, "episode_length": 30, "hidden_sizes": [8],
                "minibatch_size": 4, "replay_capacity": 64}
+# Config files that parse as JSON but cannot configure a run, each with
+# the text its error must show.
+BAD_CONFIGS = {
+    "fractional episodes": ({**TINY_CONFIG, "episodes": 2.5}, "episodes"),
+    "boolean episodes": ({**TINY_CONFIG, "episodes": True}, "episodes"),
+    "negative lr_initial": ({**TINY_CONFIG, "lr_initial": -1}, "lr_initial"),
+    "negative seed": ({**TINY_CONFIG, "seed": -3}, "seed"),
+    "fractional minibatch": ({**TINY_CONFIG, "minibatch_size": 1.5,
+                              "replay_capacity": 4}, "minibatch_size"),
+    "string hidden_sizes": ({**TINY_CONFIG, "hidden_sizes": "12"},
+                            "hidden_sizes"),
+    "zero-width layer": ({**TINY_CONFIG, "hidden_sizes": [0]},
+                         "hidden_sizes"),
+    "number": (42, "JSON object"),
+    "null": (None, "JSON object"),
+    "string": ("episodes", "JSON object"),
+}
 
 
 @pytest.fixture
@@ -119,6 +136,19 @@ class TestTrain:
         assert code == EXIT_IO
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, named", BAD_CONFIGS.values(),
+                             ids=BAD_CONFIGS.keys())
+    def test_bad_config_exits_io_code(self, scenario_file, tmp_path, doc,
+                                      named, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        weights = tmp_path / "w.bin"
+        code = main(["train", "--scenario", str(scenario_file),
+                     "--config", str(bad), "--weights-out", str(weights)])
+        assert code == EXIT_IO
+        assert named in capsys.readouterr().err
+        assert not weights.exists()
+
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("Omitted fields keep their defaults:")[1]
@@ -185,7 +215,6 @@ class TestEval:
                      "--policy", "random", "--steps", "100"])
         assert code == EXIT_IO
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("edit", UNUSABLE_EDITS.values(),
                              ids=UNUSABLE_EDITS.keys())
     def test_unusable_scenario_exits_io_code(self, scenario_file, edit):
@@ -241,6 +270,41 @@ class TestCompare:
                     for line in out.read_text().splitlines()[1:]]
         assert policies == ["random", "roundrobin", "greedy-tau",
                             "greedy-cov", "dqn"]
+
+
+class TestNegativeSeeds:
+    @staticmethod
+    def commands(scenario_file, config_file, tmp_path):
+        scn, cfg = str(scenario_file), str(config_file)
+        return {
+            "gen-scenario": ["gen-scenario", "--n", "3", "--m", "1",
+                             "--out", str(tmp_path / "x.json")],
+            "train": ["train", "--scenario", scn, "--config", cfg,
+                      "--weights-out", str(tmp_path / "w.bin")],
+            "eval": ["eval", "--scenario", scn, "--policy", "random",
+                     "--steps", "100"],
+            "compare": ["compare", "--scenario", scn, "--config", cfg,
+                        "--out", str(tmp_path / "t.csv"),
+                        "--eval-steps", "100"],
+        }
+
+    @pytest.mark.parametrize("command",
+                             ["gen-scenario", "train", "eval", "compare"])
+    def test_negative_seed_flag_is_a_usage_error(
+            self, scenario_file, config_file, tmp_path, command):
+        argv = self.commands(scenario_file, config_file, tmp_path)[command]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--seed", "-1"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["gen-scenario", "train", "eval"])
+    def test_negative_seed_env_var_exits_io_code(
+            self, scenario_file, config_file, tmp_path, command, monkeypatch,
+            capsys):
+        argv = self.commands(scenario_file, config_file, tmp_path)[command]
+        monkeypatch.setenv(SEED_ENV_VAR, "-2")
+        assert main(argv) == EXIT_IO
+        assert SEED_ENV_VAR in capsys.readouterr().err
 
 
 class TestCheckStability:

@@ -6,14 +6,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, DqnConfig, ProcessModel, ReplayBuffer,
-                         Transition, TrainingDivergedError,
+                         Scenario, Transition, TrainingDivergedError,
                          SensorSchedError, act_epsilon_greedy,
                          compute_targets, env_reset, init_agent, init_mlp,
                          make_policy, scheduling_policy_from, train,
                          train_step, write_curve_csv)
 from sensorsched.dqn import fold_observation_scaling
-from sensorsched.neural import LrSchedule, MlpParams
-from conftest import build_scenario
+from sensorsched.neural import MlpParams
 
 
 def tiny_config(**kw):
@@ -111,22 +110,20 @@ class TestEpsilonSchedule:
     def test_closed_form_decay(self):
         cfg = tiny_config(episodes=1, episode_length=230)
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
-        sched = LrSchedule(cfg.lr_initial, cfg.lr_decay)
         buf = ReplayBuffer(cfg.replay_capacity)
         rng = np.random.default_rng(2)
         for step in acted(230):
-            train_step(agent, buf, step, cfg, sched, rng)
+            train_step(agent, buf, step, cfg, rng)
         assert agent.epsilon == max(0.999 ** 230, 0.01)
         assert agent.epsilon == pytest.approx(0.7945, abs=5e-4)
 
     def test_floor_reached(self):
         cfg = tiny_config(episodes=1, episode_length=1, epsilon_decay=0.5)
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
-        sched = LrSchedule(cfg.lr_initial, cfg.lr_decay)
         buf = ReplayBuffer(cfg.replay_capacity)
         rng = np.random.default_rng(1)
         for step in acted(10):
-            train_step(agent, buf, step, cfg, sched, rng)
+            train_step(agent, buf, step, cfg, rng)
         assert agent.epsilon == cfg.epsilon_min
 
 
@@ -200,33 +197,32 @@ class TestTargets:
 class TestTrainStepMechanics:
     def _setup(self, cfg):
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
-        sched = LrSchedule(cfg.lr_initial, cfg.lr_decay)
         buf = ReplayBuffer(cfg.replay_capacity)
-        return agent, sched, buf, np.random.default_rng(2)
+        return agent, buf, np.random.default_rng(2)
 
     def test_no_update_until_minibatch_full(self):
         cfg = tiny_config(minibatch_size=8)
-        agent, sched, buf, rng = self._setup(cfg)
+        agent, buf, rng = self._setup(cfg)
         frozen = agent.online.copy()
         steps = list(acted(8))
         for step in steps[:7]:
-            train_step(agent, buf, step, cfg, sched, rng)
+            train_step(agent, buf, step, cfg, rng)
             assert params_equal(agent.online, frozen)
-        train_step(agent, buf, steps[7], cfg, sched, rng)
+        train_step(agent, buf, steps[7], cfg, rng)
         assert not params_equal(agent.online, frozen)
 
     def test_ablation_updates_from_first_step(self):
         cfg = tiny_config().ablated()
-        agent, sched, buf, rng = self._setup(cfg)
+        agent, buf, rng = self._setup(cfg)
         frozen = agent.online.copy()
-        train_step(agent, buf, next(acted(1)), cfg, sched, rng)
+        train_step(agent, buf, next(acted(1)), cfg, rng)
         assert not params_equal(agent.online, frozen)
 
     def test_target_sync_period(self):
         cfg = tiny_config(target_sync_period=5, minibatch_size=2)
-        agent, sched, buf, rng = self._setup(cfg)
+        agent, buf, rng = self._setup(cfg)
         for step, transition in enumerate(acted(12), start=1):
-            train_step(agent, buf, transition, cfg, sched, rng)
+            train_step(agent, buf, transition, cfg, rng)
             if step % 5 == 0:
                 assert params_equal(agent.target, agent.online)
         # off the sync boundary the target lags the online net
@@ -235,17 +231,17 @@ class TestTrainStepMechanics:
 
     def test_degenerate_sync_keeps_them_equal(self):
         cfg = tiny_config(target_sync_period=1, minibatch_size=2)
-        agent, sched, buf, rng = self._setup(cfg)
+        agent, buf, rng = self._setup(cfg)
         for step in acted(6):
-            train_step(agent, buf, step, cfg, sched, rng)
+            train_step(agent, buf, step, cfg, rng)
             assert params_equal(agent.target, agent.online)
 
     def test_target_frozen_between_syncs(self):
         cfg = tiny_config(target_sync_period=100, minibatch_size=2)
-        agent, sched, buf, rng = self._setup(cfg)
+        agent, buf, rng = self._setup(cfg)
         snapshot = agent.target.copy()
         for step in acted(20):
-            train_step(agent, buf, step, cfg, sched, rng)
+            train_step(agent, buf, step, cfg, rng)
         assert params_equal(agent.target, snapshot)
 
 
@@ -253,9 +249,9 @@ class TestTraining:
     def test_single_action_world_learns_exact_cost(self):
         # one sensor, one perfect channel: every step delivers, so the
         # per-step cost is exactly the steady-state trace
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[1.0]], [[1.0]], [[1.0]], [[1.0]])],
-            [ChannelModel(0.0, 1.0)])
+            [ChannelModel(0.0, 1.0)], seed=0)
         cfg = DqnConfig(episodes=2, episode_length=40, hidden_sizes=(4,),
                         minibatch_size=2, replay_capacity=16, seed=1)
         weights, curve = train(cfg, scn)
@@ -289,19 +285,24 @@ class TestTraining:
         assert lrs == sorted(lrs, reverse=True)
         assert all(r.wall_seconds == 0.0 for r in curve)  # timing off
 
-    def test_timing_flag_records_wall_clock(self, six_sensor_scenario):
+    def test_timing_flag_records_wall_clock(self, six_sensor_scenario,
+                                            tmp_path):
         cfg = tiny_config(episodes=1, episode_length=25)
         _, curve = train(cfg, six_sensor_scenario, timing=True)
         assert curve[0].wall_seconds > 0.0
+        path = tmp_path / "curve.csv"
+        write_curve_csv(curve, path)
+        row = path.read_text().splitlines()[1]
+        assert row.split(",")[-1] == repr(curve[0].wall_seconds)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_partial_curve(self):
         # unstable process, channel that fails forever: the holding time
         # climbs all episode and the error trace overflows near tau=512,
         # so the run must stop mid-flight
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
-            [ChannelModel(1.0, 0.0)])
+            [ChannelModel(1.0, 0.0)], seed=0)
         cfg = DqnConfig(episodes=10, episode_length=600, hidden_sizes=(4,),
                         minibatch_size=4, replay_capacity=64, seed=0,
                         epsilon_start=0.0, epsilon_min=0.0)
@@ -352,6 +353,33 @@ class TestTraining:
         abl = DqnConfig().ablated()
         assert (abl.replay_capacity, abl.minibatch_size,
                 abl.target_sync_period) == (1, 1, 1)
+
+
+class TestLearningRate:
+    def test_inverse_time_decay_values(self):
+        cfg = DqnConfig(lr_initial=1e-4, lr_decay=1e-3)
+        assert cfg.learning_rate(0) == 1e-4
+        assert cfg.learning_rate(1000) == pytest.approx(5e-5, rel=1e-12)
+        assert cfg.learning_rate(9000) == pytest.approx(1e-5, rel=1e-12)
+
+    def test_first_fitted_step_uses_lr_initial(self):
+        cfg = tiny_config(minibatch_size=1, lr_initial=1e-3, lr_decay=0.5)
+        agent = init_agent(5, 2, cfg, np.random.default_rng(0))
+        before = agent.online.flat.copy()
+        train_step(agent, ReplayBuffer(cfg.replay_capacity), next(acted(1)),
+                   cfg, np.random.default_rng(2))
+        # bias-corrected first Adam step is -rate * g/|g| up to eps
+        step = np.abs(agent.online.flat - before).max()
+        assert step == pytest.approx(1e-3, rel=1e-4)
+        assert agent.opt.timestep == 1
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="lr_initial"):
+            DqnConfig(lr_initial=0.0)
+        with pytest.raises(ValueError, match="lr_decay"):
+            DqnConfig(lr_decay=-1.0)
+        with pytest.raises(ValueError, match="lr_initial"):
+            DqnConfig(lr_initial=float("nan"))
 
 
 class TestCurveCsv:

@@ -6,11 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, EnvState, ProcessModel, SchedAction,
-                         action_count, action_decode, action_encode,
+                         Scenario, action_count, action_decode, action_encode,
                          env_reset, env_step, observation_build,
                          spawn_channel_rngs)
 from sensorsched.environment import total_trace
-from conftest import build_scenario, open_loop_step
+from conftest import open_loop_step
 
 
 def start(scenario, seed):
@@ -99,9 +99,9 @@ class TestStepDynamics:
         assert state.step_index == 2
 
     def test_always_bad_channel_starves_everyone(self):
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[0.9]], [[1.0]], [[1.0]], [[1.0]])] * 2,
-            [ChannelModel(1.0, 0.0)])
+            [ChannelModel(1.0, 0.0)], seed=0)
         state, rngs = start(scn, 0)
         for k in range(1, 6):
             state, _ = env_step(scn, state, SchedAction((1,)), rngs)
@@ -282,9 +282,9 @@ class TestObservation:
         assert scaled[6] == pytest.approx(1.0, rel=1e-12)
 
     def test_gamma_block_tracks_outcomes(self):
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])] * 2,
-            [ChannelModel(1.0, 1.0)])  # deterministic alternation
+            [ChannelModel(1.0, 1.0)], seed=0)  # deterministic alternation
         state, rngs = start(scn, 0)
         state, _ = env_step(scn, state, SchedAction((1,)), rngs)
         assert observation_build(state, scn)[-1] == 0.0

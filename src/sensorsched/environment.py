@@ -17,7 +17,7 @@ action space of the learning agent dense and enumerable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import isfinite, perm
 from operator import add
 
@@ -62,8 +62,12 @@ def action_count(n_sensors, n_channels):
     return perm(n_sensors, n_channels)
 
 
+@lru_cache(maxsize=4096, typed=True)
 def action_decode(index, n_sensors, n_channels):
-    """index -> SchedAction, lexicographic over assignment tuples."""
+    """index -> SchedAction, lexicographic over assignment tuples.
+
+    Memoized: SchedAction is frozen, so callers may share instances.  A
+    rejected index raises every time, since exceptions are not cached."""
     total = action_count(n_sensors, n_channels)
     if not 0 <= index < total:
         raise ValueError(f"action index {index} outside [0, {total})")

@@ -141,7 +141,7 @@ def load_scenario(path):
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedFileError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != _FORMAT:
         raise MalformedFileError(f"{path}: not a scenario file")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,14 +63,46 @@ def init_mlp(layer_sizes, rng):
     return params
 
 
-def _forward_cached(params, x):
-    """Returns the activations per layer, input first and output last."""
-    acts = [x]
+class Workspace:
+    """Buffers for one network at one batch size, allocated once so that
+    ``forward``, ``loss_and_gradient`` and the bootstrap targets write into
+    them instead of allocating: per layer the output (ReLU applied on hidden
+    layers) and the loss gradient with respect to the pre-activation, per
+    hidden layer a boolean ReLU mask, plus the gradient ``MlpParams`` and a
+    ``targets`` vector.  Each use overwrites what the last one left."""
+
+    def __init__(self, layer_sizes, batch):
+        shapes = [(batch, n) for n in layer_sizes[1:]]
+        self.acts = [np.empty(shape) for shape in shapes]
+        self.d_z = [np.empty(shape) for shape in shapes]
+        self.masks = [np.empty(shape, dtype=bool) for shape in shapes[:-1]]
+        self.grads = MlpParams(layer_sizes)
+        self.targets = np.empty(batch)
+        self.rows = np.arange(batch)
+
+    def forward(self, params, x):
+        """``mlp_forward`` of a batch into these buffers."""
+        return _forward(params, x, self.acts)
+
+
+def _forward(params, x, acts):
+    """Forward pass of a (B, d) batch with layer l's output written to
+    ``acts[l]``; returns the output layer."""
+    if x.shape[1] != params.layer_sizes[0]:
+        raise ValueError(
+            f"input width {x.shape[1]}, network expects {params.layer_sizes[0]}")
     last = len(params.layers) - 1
+    a = x
     for l, (w, b) in enumerate(params.layers):
-        z = acts[-1] @ w + b
-        acts.append(np.maximum(z, 0.0) if l < last else z)
-    return acts
+        z = acts[l]
+        np.matmul(a, w, out=z)
+        z += b
+        if l < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
+    if not np.isfinite(a).all():
+        raise NumericalError("network produced non-finite outputs")
+    return a
 
 
 def mlp_forward(params, x):
@@ -79,20 +111,17 @@ def mlp_forward(params, x):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"input width {x.shape[1]}, network expects {params.layer_sizes[0]}")
-    out = _forward_cached(params, x)[-1]
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("network produced non-finite outputs")
+    acts = [np.empty((x.shape[0], n)) for n in params.layer_sizes[1:]]
+    out = _forward(params, x, acts)
     return out[0] if single else out
 
 
-def loss_and_gradient(params, inputs, actions, targets):
+def loss_and_gradient(params, inputs, actions, targets, work=None):
     """Mean squared error on the selected outputs, with full backprop.
 
     inputs: (B, d); actions: (B,) int indices; targets: (B,) floats.
-    Returns (loss, grads) with grads an MlpParams shaped like params.
+    Returns (loss, grads) with grads an MlpParams shaped like params: the
+    workspace's, overwritten by its next use, or a fresh one without one.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
@@ -102,37 +131,51 @@ def loss_and_gradient(params, inputs, actions, targets):
     batch = inputs.shape[0]
     if actions.shape != (batch,) or targets.shape != (batch,):
         raise ValueError("actions and targets must both have shape (B,)")
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise NumericalError("non-finite targets")
+    if work is None:
+        work = Workspace(params.layer_sizes, batch)
 
-    acts = _forward_cached(params, inputs)
-    out = acts[-1]
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("network produced non-finite outputs")
-    rows = np.arange(batch)
-    picked = out[rows, actions]
-    diff = picked - targets
-    loss = float(np.mean(diff ** 2))
+    out = work.forward(params, inputs)
+    rows = work.rows
+    diff = out[rows, actions] - targets
+    loss = float(np.add.reduce(np.square(diff))) / batch  # np.mean, inlined
 
-    d_z = np.zeros_like(out)
+    last = len(params.layers) - 1
+    d_z = work.d_z[last]
+    d_z.fill(0.0)
     d_z[rows, actions] = 2.0 * diff / batch
-    grads = MlpParams(params.layer_sizes)
-    for l in range(len(params.layers) - 1, -1, -1):
+    grads = work.grads
+    for l in range(last, -1, -1):
         w, _ = params.layers[l]
         gw, gb = grads.layers[l]
-        np.matmul(acts[l].T, d_z, out=gw)
-        d_z.sum(axis=0, out=gb)
+        a_in = work.acts[l - 1] if l > 0 else inputs
+        np.matmul(a_in.T, d_z, out=gw)
+        np.add.reduce(d_z, axis=0, out=gb)
         if l > 0:
-            # relu(z) > 0 exactly where z > 0, NaN failing both
-            d_z = (d_z @ w.T) * (acts[l] > 0.0)
+            # relu(z) > 0 exactly where z > 0, NaN failing both; multiplying
+            # by the mask, not selecting, turns an inf upstream into NaN
+            d_prev, mask = work.d_z[l - 1], work.masks[l - 1]
+            np.matmul(d_z, w.T, out=d_prev)
+            np.greater(a_in, 0.0, out=mask)
+            d_prev *= mask
+            d_z = d_prev
     return loss, grads
 
 
 @dataclass
 class AdamState:
+    """Adam's moments, step count and two scratch vectors of the same
+    length, so that an update allocates nothing."""
     m: np.ndarray
     v: np.ndarray
     timestep: int = 0
+    _s: np.ndarray = field(init=False, repr=False)
+    _u: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._s = np.empty_like(self.m)
+        self._u = np.empty_like(self.m)
 
 
 def init_adam(params):
@@ -140,16 +183,29 @@ def init_adam(params):
 
 
 def adam_update(params, grads, opt, rate):
-    """One Adam step of size ``rate`` in place."""
+    """One Adam step of size ``rate`` in place.
+
+    Computes rate * (m / c1) / (sqrt(v / c2) + eps) one operation at a
+    time into the scratch vectors, in that order, so the bits are those of
+    the expression."""
     t = opt.timestep + 1
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t
-    g = grads.flat
-    opt.m *= _BETA1
-    opt.m += (1.0 - _BETA1) * g
-    opt.v *= _BETA2
-    opt.v += (1.0 - _BETA2) * np.square(g)
-    params.flat -= rate * (opt.m / c1) / (np.sqrt(opt.v / c2) + _EPS)
+    g, m, v, s, u = grads.flat, opt.m, opt.v, opt._s, opt._u
+    m *= _BETA1
+    np.multiply(g, 1.0 - _BETA1, out=s)
+    m += s
+    v *= _BETA2
+    np.square(g, out=s)
+    s *= 1.0 - _BETA2
+    v += s
+    np.divide(m, c1, out=s)
+    s *= rate
+    np.divide(v, c2, out=u)
+    np.sqrt(u, out=u)
+    u += _EPS
+    s /= u
+    params.flat -= s
     opt.timestep = t
     return params, opt
 

@@ -43,6 +43,8 @@ BAD_CONFIGS = {
     "null": (None, "JSON object"),
     "string": ("episodes", "JSON object"),
 }
+# A byte-order mark of UTF-16, which no UTF-8 decoder accepts.
+NOT_UTF8 = b"\xff\xfe\x00"
 
 
 @pytest.fixture
@@ -149,6 +151,16 @@ class TestTrain:
         assert named in capsys.readouterr().err
         assert not weights.exists()
 
+    def test_config_not_utf8_exits_io_code(self, scenario_file, tmp_path,
+                                           capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(NOT_UTF8)
+        code = main(["train", "--scenario", str(scenario_file),
+                     "--config", str(bad),
+                     "--weights-out", str(tmp_path / "w.bin")])
+        assert code == EXIT_IO
+        assert "bad.json" in capsys.readouterr().err
+
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("Omitted fields keep their defaults:")[1]
@@ -222,6 +234,14 @@ class TestEval:
         code = main(["eval", "--scenario", str(scenario_file),
                      "--policy", "random", "--steps", "100"])
         assert code == EXIT_IO
+
+    def test_scenario_not_utf8_exits_io_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(NOT_UTF8)
+        code = main(["eval", "--scenario", str(bad), "--policy", "random",
+                     "--steps", "100"])
+        assert code == EXIT_IO
+        assert "bad.json" in capsys.readouterr().err
 
     def test_unknown_policy_is_a_usage_error(self, scenario_file):
         with pytest.raises(SystemExit) as info:

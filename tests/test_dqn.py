@@ -1,5 +1,7 @@
 """Q-learning machinery tests: buffer, schedule, targets, loop mechanics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -243,6 +245,56 @@ class TestTrainStepMechanics:
         for step in acted(20):
             train_step(agent, buf, step, cfg, rng)
         assert params_equal(agent.target, snapshot)
+
+
+def desk_agent(seed):
+    """An agent at the desk sizes (6x3: 15 inputs, 120 actions), with its
+    replay memory, minibatch generator and acted transitions."""
+    cfg = DqnConfig(hidden_sizes=(128, 128), minibatch_size=32)
+    agent = init_agent(15, 120, cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    data = np.random.default_rng(seed + 2)
+    steps = [Transition(s=data.random(15), a=int(data.integers(120)),
+                        r=-data.random(), s_next=data.random(15))
+             for _ in range(150)]
+    return agent, ReplayBuffer(cfg.replay_capacity), rng, cfg, steps
+
+
+def agent_bytes(agent):
+    return (agent.online.flat.tobytes(), agent.target.flat.tobytes(),
+            agent.opt.m.tobytes(), agent.opt.v.tobytes())
+
+
+class TestUpdateBuffers:
+    def test_fitted_step_allocates_almost_nothing(self):
+        # the workspace, Adam's scratch and the minibatch rows exist after
+        # warm-up, so one more fitted step only makes small temporaries
+        agent, buf, rng, cfg, steps = desk_agent(0)
+        for step in steps[:50]:
+            train_step(agent, buf, step, cfg, rng)
+        assert agent.opt.timestep > 0
+        assert (agent.global_step + 1) % cfg.target_sync_period != 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_step(agent, buf, steps[50], cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024
+
+    def test_agents_stepped_interleaved_match_each_alone(self):
+        alone = []
+        for seed in (0, 7):
+            agent, buf, rng, cfg, steps = desk_agent(seed)
+            for step in steps:
+                train_step(agent, buf, step, cfg, rng)
+            alone.append(agent_bytes(agent))
+        runs = [desk_agent(0), desk_agent(7)]
+        for k in range(150):
+            for agent, buf, rng, cfg, steps in runs:
+                train_step(agent, buf, steps[k], cfg, rng)
+        assert [agent_bytes(run[0]) for run in runs] == alone
 
 
 class TestTraining:

@@ -18,6 +18,7 @@ from sensorsched import (AdamState, ChecksumError, MalformedFileError,
                          VersionMismatchError, adam_update, init_adam,
                          init_mlp, load_weights, loss_and_gradient,
                          mlp_forward, save_weights)
+from sensorsched.neural import Workspace
 
 layer_sizes = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 # one temporary file is rewritten by every example of a file test
@@ -237,6 +238,117 @@ class TestAdam:
         assert isinstance(opt, AdamState)
         assert opt.m.shape == params.flat.shape
         assert opt.v.shape == params.flat.shape
+
+
+# The allocating kernel the workspace replaced, kept verbatim as the
+# oracle for its bytes.
+def reference_forward_cached(params, x):
+    acts = [x]
+    last = len(params.layers) - 1
+    for l, (w, b) in enumerate(params.layers):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if l < last else z)
+    return acts
+
+
+def reference_loss_and_gradient(params, inputs, actions, targets):
+    batch = inputs.shape[0]
+    acts = reference_forward_cached(params, inputs)
+    out = acts[-1]
+    rows = np.arange(batch)
+    picked = out[rows, actions]
+    diff = picked - targets
+    loss = float(np.mean(diff ** 2))
+    d_z = np.zeros_like(out)
+    d_z[rows, actions] = 2.0 * diff / batch
+    grads = MlpParams(params.layer_sizes)
+    for l in range(len(params.layers) - 1, -1, -1):
+        w, _ = params.layers[l]
+        gw, gb = grads.layers[l]
+        np.matmul(acts[l].T, d_z, out=gw)
+        d_z.sum(axis=0, out=gb)
+        if l > 0:
+            d_z = (d_z @ w.T) * (acts[l] > 0.0)
+    return loss, grads
+
+
+def reference_adam_update(params, grads, m, v, t, rate):
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
+    g = grads.flat
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * np.square(g)
+    params.flat -= rate * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+class TestWorkspaceKernel:
+    """One workspace reused across steps gives the bytes of the allocating
+    reference: outputs, loss, gradients, weights and both moments."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+           batch=st.sampled_from([1, 2, 3, 7, 32]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_allocating_reference(self, sizes, batch, seed):
+        rng = np.random.default_rng(seed)
+        params = init_mlp(sizes, rng)
+        ref = params.copy()
+        opt = init_adam(params)
+        m, v = np.zeros_like(ref.flat), np.zeros_like(ref.flat)
+        work = Workspace(sizes, batch)
+        for t in range(1, 51):
+            inputs = rng.standard_normal((batch, sizes[0]))
+            actions = rng.integers(sizes[-1], size=batch)
+            targets = rng.standard_normal(batch)
+            out = work.forward(params, inputs)
+            assert out.tobytes() == \
+                reference_forward_cached(ref, inputs)[-1].tobytes()
+            loss, grads = loss_and_gradient(params, inputs, actions, targets,
+                                            work)
+            ref_loss, ref_grads = reference_loss_and_gradient(
+                ref, inputs, actions, targets)
+            assert repr(loss) == repr(ref_loss)
+            assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+            rate = 1e-2 / (1.0 + 0.1 * t)
+            adam_update(params, grads, opt, rate)
+            reference_adam_update(ref, ref_grads, m, v, t, rate)
+            assert params.flat.tobytes() == ref.flat.tobytes()
+            assert opt.m.tobytes() == m.tobytes()
+            assert opt.v.tobytes() == v.tobytes()
+        # targets this far off overflow the output gradient to inf, which
+        # must reach dead hidden units as inf * 0 = NaN, as in the reference
+        far = np.where(targets < 0.0, 1.7e308, -1.7e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, grads = loss_and_gradient(params, inputs, actions, far, work)
+            _, ref_grads = reference_loss_and_gradient(ref, inputs, actions,
+                                                       far)
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+    def test_overflowing_gradient_at_a_dead_unit(self):
+        # The hidden unit is off and the output gradient overflows to inf:
+        # the ReLU mask multiplies, so inf * 0 gives NaN in the first
+        # layer's gradient, where a select would give 0.
+        params = MlpParams((1, 1, 1), np.array([-1.0, 0.0, 2.0, 0.0]))
+        args = (np.ones((1, 1)), np.array([0]), np.array([-1.7e308]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, grads = loss_and_gradient(params, *args)
+            _, ref_grads = reference_loss_and_gradient(params, *args)
+        assert np.isnan(grads.layers[0][1][0])
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+    def test_mlp_forward_matches_workspace_forward(self, rng):
+        params = init_mlp((4, 6, 3), rng)
+        x = rng.standard_normal((5, 4))
+        work = Workspace(params.layer_sizes, 5)
+        assert mlp_forward(params, x).tobytes() == \
+            work.forward(params, x).tobytes()
+
+    def test_batch_of_another_size_rejected(self, rng):
+        params = init_mlp((4, 6, 3), rng)
+        with pytest.raises(ValueError):
+            Workspace(params.layer_sizes, 5).forward(params, np.zeros((4, 4)))
 
 
 class TestPersistence:

@@ -70,10 +70,8 @@ def _load_config(path, seed_override=None):
         if unknown:
             raise PersistenceError(
                 f"{path}: unknown config keys {sorted(unknown)}")
-        base = {"seed": _default_seed()}
-        base.update(data)
         try:
-            config = dqn.DqnConfig(**base)
+            config = dqn.DqnConfig(**{"seed": config.seed, **data})
         except (TypeError, ValueError) as exc:
             raise PersistenceError(f"{path}: bad config: {exc}") from exc
     if seed_override is not None:

@@ -39,16 +39,17 @@ def _rows(count, width):
 
 
 class ReplayBuffer:
-    """Bounded FIFO transition store with uniform sampling (with replacement):
-    one column per Transition field, allocated on the first add, with the
-    k-th add in row k % capacity.  Reads return a Transition of row arrays,
-    written into ``out`` when one is given."""
+    """Bounded FIFO transition store with uniform sampling (with replacement)
+    of ``batch_size`` rows: one column per Transition field, with the k-th
+    add in row k % capacity, and the minibatch rows, both allocated on the
+    first add.  ``sample`` overwrites those rows and returns them."""
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, batch_size):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._columns = None
+        self.batch_size = int(batch_size)
+        self._columns = self._batch = None
         self._added = 0
 
     def __len__(self):
@@ -57,6 +58,7 @@ class ReplayBuffer:
     def add(self, transition):
         if self._columns is None:
             self._columns = _rows(self.capacity, len(transition.s))
+            self._batch = _rows(self.batch_size, len(transition.s))
         row = self._added % self.capacity
         self._columns.s[row] = transition.s
         self._columns.a[row] = transition.a
@@ -64,13 +66,11 @@ class ReplayBuffer:
         self._columns.s_next[row] = transition.s_next
         self._added += 1
 
-    def sample(self, batch_size, rng, out=None):
+    def sample(self, rng):
         if not len(self):
             raise IndexError("cannot sample from an empty buffer")
-        idx = rng.integers(len(self), size=batch_size)
-        cols = self._columns
-        if out is None:
-            out = _rows(batch_size, cols.s.shape[1])
+        idx = rng.integers(len(self), size=self.batch_size)
+        cols, out = self._columns, self._batch
         # idx is in range, so "clip" only skips the copy "raise" makes of out
         cols.s.take(idx, axis=0, out=out.s, mode="clip")
         cols.a.take(idx, out=out.a, mode="clip")
@@ -126,8 +126,10 @@ class DqnConfig:
             raise ValueError("replay capacity must hold at least one minibatch")
         if self.episode_length < 1 or self.episodes < 1:
             raise ValueError("episodes and episode_length must be >= 1")
-        if not (self.lr_initial > 0.0 and self.lr_decay >= 0.0):  # NaN too
-            raise ValueError("need lr_initial > 0 and lr_decay >= 0")
+        if not 0.0 < self.lr_initial < np.inf:  # NaN fails too
+            raise ValueError("lr_initial must be finite and > 0")
+        if not 0.0 <= self.lr_decay < np.inf:
+            raise ValueError("lr_decay must be finite and >= 0")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
 
     def learning_rate(self, updates):
@@ -143,13 +145,13 @@ class DqnConfig:
 
 @dataclass
 class AgentState:
-    """``work`` and ``minibatch`` are the buffers every update writes
-    into: the network workspace and the sampled rows."""
+    """``replay`` is the agent's replay memory and ``work`` the network
+    workspace every update writes into, both sized by the minibatch."""
     online: MlpParams
     target: MlpParams
     opt: object
     work: Workspace
-    minibatch: Transition
+    replay: ReplayBuffer
     epsilon: float
     global_step: int = 0
 
@@ -164,14 +166,14 @@ class EpisodeRecord:
 
 
 def init_agent(obs_dim, n_actions, config, rng):
-    """Fresh online/target pair (initially identical), optimizer and the
-    minibatch-sized buffers of the update."""
+    """Fresh online/target pair (initially identical), optimizer, workspace
+    and empty replay memory."""
     sizes = (obs_dim, *config.hidden_sizes, n_actions)
     online = init_mlp(sizes, rng)
     rows = config.minibatch_size
     return AgentState(online=online, target=online.copy(),
                       opt=init_adam(online), work=Workspace(sizes, rows),
-                      minibatch=_rows(rows, obs_dim),
+                      replay=ReplayBuffer(config.replay_capacity, rows),
                       epsilon=config.epsilon_start)
 
 
@@ -184,31 +186,27 @@ def act_epsilon_greedy(agent, obs, rng):
     return int(np.argmax(mlp_forward(agent.online, obs)))
 
 
-def compute_targets(target_params, batch, discount, work=None):
-    """One-step bootstrapped targets r + discount * max_a' Q(s', a'),
-    written to ``work.targets`` when a workspace is given."""
-    if work is None:
-        work = Workspace(target_params.layer_sizes, len(batch.r))
+def compute_targets(target_params, batch, discount, work):
+    """One-step bootstrapped targets r + discount * max_a' Q(s', a') in
+    ``work.targets``; ``loss_and_gradient`` rejects non-finite ones."""
     q_next = work.forward(target_params, batch.s_next)
     targets = work.targets
     q_next.max(axis=1, out=targets)
     targets *= discount
     targets += batch.r
-    if not np.isfinite(targets).all():
-        raise NumericalError("non-finite bootstrapped targets")
     return targets
 
 
-def train_step(agent, buffer, transition, config, rng_batch):
+def train_step(agent, transition, config, rng_batch):
     """Learn from one acted transition.
 
-    Order: store the transition, fit one minibatch once the buffer holds
-    one, count the step, maybe resync the frozen copy, decay epsilon.
+    Order: store the transition in the agent's replay memory, fit one
+    minibatch once the memory holds one, count the step, maybe resync the
+    frozen copy, decay epsilon.
     """
-    buffer.add(transition)
-    if len(buffer) >= config.minibatch_size:
-        batch = buffer.sample(config.minibatch_size, rng_batch,
-                              agent.minibatch)
+    agent.replay.add(transition)
+    if len(agent.replay) >= config.minibatch_size:
+        batch = agent.replay.sample(rng_batch)
         targets = compute_targets(agent.target, batch, config.discount,
                                   agent.work)
         _, grads = loss_and_gradient(agent.online, batch.s, batch.a, targets,
@@ -246,7 +244,6 @@ def train(config, scenario, timing=False):
     m = len(scenario.channels)
     agent = init_agent(2 * n + m, action_count(n, m), config, rng_init)
     chan_rngs = spawn_channel_rngs(ss_env, m)
-    buffer = ReplayBuffer(config.replay_capacity)
 
     curve = []
     for episode in range(config.episodes):
@@ -261,7 +258,7 @@ def train(config, scenario, timing=False):
                 state, reward = env_step(scenario, state, action, chan_rngs)
                 new_obs = observation_build(state, scenario, normalize=True)
                 step = Transition(s=obs, a=a_idx, r=reward, s_next=new_obs)
-                train_step(agent, buffer, step, config, rng_batch)
+                train_step(agent, step, config, rng_batch)
                 obs = new_obs
                 total_cost -= reward
         except NumericalError as exc:

@@ -26,6 +26,9 @@ from .errors import RiccatiConvergenceError
 # for definiteness tests.
 _RANK_TOL = 1e-8
 _EIG_TOL = 1e-10
+# Riccati iteration: converged below this sup-norm step, budget of steps.
+_RICCATI_TOL = 1e-10
+_RICCATI_MAX_ITERS = 100_000
 
 
 def _symmetrize(mat):
@@ -257,21 +260,21 @@ class TraceTable:
         return self._data[self._index, np.minimum(tau, self._last)]
 
 
-def steady_state_covariance(model, tol=1e-10, max_iters=100_000):
+def steady_state_covariance(model):
     """Fixed point of the posterior Riccati recursion, with gain and traces.
 
     Iterates the measurement-updated covariance map from P = W until the
-    sup-norm step falls below ``tol`` (Joseph-form update for numerical
-    robustness).  Raises RiccatiConvergenceError if the budget runs out,
-    or at once if an iterate is non-finite, since it can then never
-    converge.
+    sup-norm step falls below ``_RICCATI_TOL`` (Joseph-form update for
+    numerical robustness).  Raises RiccatiConvergenceError if the budget of
+    ``_RICCATI_MAX_ITERS`` runs out, or at once if an iterate is
+    non-finite, since it can then never converge.
     """
     A, C, W, V = model.A, model.C, model.W, model.V
     eye = np.eye(model.n_x)
     P = W.copy()
     # overflow ends in the non-finite check below; it is not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(max_iters):
+        for it in range(_RICCATI_MAX_ITERS):
             prior = A @ P @ A.T + W
             S = C @ prior @ C.T + V
             K = np.linalg.solve(S, C @ prior).T
@@ -279,7 +282,7 @@ def steady_state_covariance(model, tol=1e-10, max_iters=100_000):
             P_next = _symmetrize(IKC @ prior @ IKC.T + K @ V @ K.T)
             step = np.max(np.abs(P_next - P))
             P = P_next
-            if step < tol:
+            if step < _RICCATI_TOL:
                 break
             if not isfinite(step):
                 raise RiccatiConvergenceError(
@@ -287,8 +290,8 @@ def steady_state_covariance(model, tol=1e-10, max_iters=100_000):
                     f"model with A={A.tolist()}")
         else:
             raise RiccatiConvergenceError(
-                f"no fixed point within {max_iters} iterations (tol={tol}) "
-                f"for model with A={A.tolist()}")
+                f"no fixed point within {_RICCATI_MAX_ITERS} iterations "
+                f"(tol={_RICCATI_TOL}) for model with A={A.tolist()}")
     prior = A @ P @ A.T + W
     S = C @ prior @ C.T + V
     K = np.linalg.solve(S, C @ prior).T

@@ -64,12 +64,12 @@ def init_mlp(layer_sizes, rng):
 
 
 class Workspace:
-    """Buffers for one network at one batch size, allocated once so that
-    ``forward``, ``loss_and_gradient`` and the bootstrap targets write into
-    them instead of allocating: per layer the output (ReLU applied on hidden
-    layers) and the loss gradient with respect to the pre-activation, per
-    hidden layer a boolean ReLU mask, plus the gradient ``MlpParams`` and a
-    ``targets`` vector.  Each use overwrites what the last one left."""
+    """Buffers for one network at one batch size, which every batched pass
+    (``forward``, ``loss_and_gradient``, the bootstrap targets) writes
+    into: per layer the output (ReLU applied on hidden layers) and the loss
+    gradient with respect to the pre-activation, per hidden layer a boolean
+    ReLU mask, plus the gradient ``MlpParams`` and a ``targets`` vector.
+    Each use overwrites what the last one left."""
 
     def __init__(self, layer_sizes, batch):
         shapes = [(batch, n) for n in layer_sizes[1:]]
@@ -81,7 +81,7 @@ class Workspace:
         self.rows = np.arange(batch)
 
     def forward(self, params, x):
-        """``mlp_forward`` of a batch into these buffers."""
+        """Network outputs for a (B, d) batch, written into these buffers."""
         return _forward(params, x, self.acts)
 
 
@@ -106,22 +106,22 @@ def _forward(params, x, acts):
 
 
 def mlp_forward(params, x):
-    """Evaluate the network on a single input (1-D) or a batch (2-D)."""
+    """Evaluate the network on one 1-D observation; batches run through
+    ``Workspace.forward``."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    acts = [np.empty((x.shape[0], n)) for n in params.layer_sizes[1:]]
-    out = _forward(params, x, acts)
-    return out[0] if single else out
+    if x.ndim != 1:
+        raise ValueError(f"mlp_forward takes one 1-D observation, "
+                         f"got shape {x.shape}")
+    acts = [np.empty((1, n)) for n in params.layer_sizes[1:]]
+    return _forward(params, x[None, :], acts)[0]
 
 
-def loss_and_gradient(params, inputs, actions, targets, work=None):
+def loss_and_gradient(params, inputs, actions, targets, work):
     """Mean squared error on the selected outputs, with full backprop.
 
-    inputs: (B, d); actions: (B,) int indices; targets: (B,) floats.
-    Returns (loss, grads) with grads an MlpParams shaped like params: the
-    workspace's, overwritten by its next use, or a fresh one without one.
+    inputs: (B, d); actions: (B,) int indices; targets: (B,) floats; work:
+    a ``Workspace`` for batch B.  Returns (loss, grads) with grads the
+    workspace's gradient ``MlpParams``, overwritten by its next use.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
@@ -133,8 +133,6 @@ def loss_and_gradient(params, inputs, actions, targets, work=None):
         raise ValueError("actions and targets must both have shape (B,)")
     if not np.isfinite(targets).all():
         raise NumericalError("non-finite targets")
-    if work is None:
-        work = Workspace(params.layer_sizes, batch)
 
     out = work.forward(params, inputs)
     rows = work.rows

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from sensorsched import (ChannelModel, DqnConfig, ProcessModel, Scenario,
-                         action_count, action_decode, action_encode,
-                         channel_reset, channel_step, evaluate_policy,
-                         init_mlp, log_success_shortfall_bound,
-                         loss_and_gradient, make_policy, mlp_forward,
-                         remote_error_by_holding, scenario_generate,
-                         scheduling_policy_from, spawn_channel_rngs,
-                         spectral_radius, stability_check,
+                         Workspace, action_count, action_decode,
+                         action_encode, channel_reset, channel_step,
+                         evaluate_policy, init_mlp,
+                         log_success_shortfall_bound, loss_and_gradient,
+                         make_policy, mlp_forward, remote_error_by_holding,
+                         scenario_generate, scheduling_policy_from,
+                         spawn_channel_rngs, spectral_radius, stability_check,
                          steady_state_covariance,
                          threshold_policy_running_cost, train)
 from sensorsched.cli import main as cli_main
@@ -120,7 +120,10 @@ def test_criterion_02_backprop_matches_finite_differences():
         batch = rng.normal(size=(6, sizes[0]))
         actions = rng.integers(0, sizes[-1], size=6)
         targets = rng.normal(size=6)
-        _, grads = loss_and_gradient(params, batch, actions, targets)
+        # the probe's own workspace leaves the analytic gradient intact
+        probe = Workspace(sizes, 6)
+        _, grads = loss_and_gradient(params, batch, actions, targets,
+                                     Workspace(sizes, 6))
         eps = 1e-6
         for li, (w, b) in enumerate(params.layers):
             gw, gb = grads.layers[li]
@@ -131,9 +134,11 @@ def test_criterion_02_backprop_matches_finite_differences():
                 for j in idx:
                     orig = flat[j]
                     flat[j] = orig + eps
-                    up, _ = loss_and_gradient(params, batch, actions, targets)
+                    up, _ = loss_and_gradient(params, batch, actions, targets,
+                                              probe)
                     flat[j] = orig - eps
-                    dn, _ = loss_and_gradient(params, batch, actions, targets)
+                    dn, _ = loss_and_gradient(params, batch, actions, targets,
+                                              probe)
                     flat[j] = orig
                     numeric = (up - dn) / (2 * eps)
                     scale = max(abs(numeric), abs(gflat[j]), 1e-8)

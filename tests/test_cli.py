@@ -32,6 +32,10 @@ BAD_CONFIGS = {
     "fractional episodes": ({**TINY_CONFIG, "episodes": 2.5}, "episodes"),
     "boolean episodes": ({**TINY_CONFIG, "episodes": True}, "episodes"),
     "negative lr_initial": ({**TINY_CONFIG, "lr_initial": -1}, "lr_initial"),
+    "infinite lr_initial": ({**TINY_CONFIG, "lr_initial": float("inf")},
+                            "lr_initial"),
+    "infinite lr_decay": ({**TINY_CONFIG, "lr_decay": float("inf")},
+                          "lr_decay"),
     "negative seed": ({**TINY_CONFIG, "seed": -3}, "seed"),
     "fractional minibatch": ({**TINY_CONFIG, "minibatch_size": 1.5,
                               "replay_capacity": 4}, "minibatch_size"),

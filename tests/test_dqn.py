@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sensorsched import (ChannelModel, DqnConfig, ProcessModel, ReplayBuffer,
-                         Scenario, Transition, TrainingDivergedError,
-                         SensorSchedError, act_epsilon_greedy,
-                         compute_targets, env_reset, init_agent, init_mlp,
-                         make_policy, scheduling_policy_from, train,
-                         train_step, write_curve_csv)
+from sensorsched import (ChannelModel, DqnConfig, NumericalError,
+                         ProcessModel, ReplayBuffer, Scenario, Transition,
+                         TrainingDivergedError, SensorSchedError, Workspace,
+                         act_epsilon_greedy, compute_targets, env_reset,
+                         init_agent, init_mlp, make_policy,
+                         scheduling_policy_from, train, train_step,
+                         write_curve_csv)
 from sensorsched.dqn import fold_observation_scaling
 from sensorsched.neural import MlpParams
 
@@ -46,20 +47,20 @@ def acted(count, seed=0):
 
 
 def stored(buf):
-    """The set of action labels a long sample can draw."""
-    return set(buf.sample(2000, np.random.default_rng(0)).a.tolist())
+    """The set of action labels a long sample (batch size 2000) can draw."""
+    return set(buf.sample(np.random.default_rng(0)).a.tolist())
 
 
 class TestReplayBuffer:
     def test_fifo_overwrite(self):
-        buf = ReplayBuffer(5)
+        buf = ReplayBuffer(5, 2000)
         for k in range(1, 9):
             buf.add(numbered(k))
         assert len(buf) == 5
         assert stored(buf) == {4, 5, 6, 7, 8}
 
     def test_partial_fill_samples_added_rows_only(self):
-        buf = ReplayBuffer(5)
+        buf = ReplayBuffer(5, 2000)
         buf.add(numbered(1))
         buf.add(numbered(2))
         assert len(buf) == 2
@@ -67,65 +68,71 @@ class TestReplayBuffer:
 
     def test_capacity_one_samples_the_latest(self):
         # the ablation's memory: every draw is the transition just added
-        buf = ReplayBuffer(1)
+        buf = ReplayBuffer(1, 3)
         rng = np.random.default_rng(0)
         for k in range(4):
             buf.add(numbered(k))
-            assert buf.sample(3, rng).a.tolist() == [k, k, k]
+            assert buf.sample(rng).a.tolist() == [k, k, k]
+
+    def test_sample_refills_the_same_rows(self):
+        buf = ReplayBuffer(4, 3)
+        buf.add(numbered(1))
+        rng = np.random.default_rng(0)
+        first = buf.sample(rng)
+        buf.add(numbered(2))
+        assert buf.sample(rng) is first
 
     def test_sampling_uniform_with_replacement(self):
-        buf = ReplayBuffer(3)
+        buf = ReplayBuffer(3, 6000)
         for k in range(3):
             buf.add(numbered(k))
         rng = np.random.default_rng(0)
-        draws = buf.sample(6000, rng).a
+        draws = buf.sample(rng).a
         counts = np.bincount(draws, minlength=3)
         assert np.all(counts > 1700)  # roughly uniform
         assert len(draws) == 6000  # replacement: more draws than items
 
     def test_empty_buffer_raises(self):
-        buf = ReplayBuffer(2)
+        buf = ReplayBuffer(2, 1)
         with pytest.raises(IndexError):
-            buf.sample(1, np.random.default_rng(0))
+            buf.sample(np.random.default_rng(0))
 
     @settings(deadline=None, max_examples=60)
     @given(capacity=st.integers(1, 8), adds=st.integers(1, 30))
     def test_matches_list_model_fifo(self, capacity, adds):
-        buf = ReplayBuffer(capacity)
+        buf = ReplayBuffer(capacity, 2000)
         model = []
         for k in range(adds):
             buf.add(numbered(k))
             model = (model + [k])[-capacity:]
             assert len(buf) == len(model)
         assert stored(buf) == set(model)
-        batch = buf.sample(50, np.random.default_rng(1))
+        batch = buf.sample(np.random.default_rng(1))
         assert np.array_equal(batch.s[:, 0], batch.a)
         assert np.array_equal(batch.r, -batch.a)
         assert np.array_equal(batch.s_next[:, 1], batch.a + 1)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(0)
+            ReplayBuffer(0, 1)
 
 
 class TestEpsilonSchedule:
     def test_closed_form_decay(self):
         cfg = tiny_config(episodes=1, episode_length=230)
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
-        buf = ReplayBuffer(cfg.replay_capacity)
         rng = np.random.default_rng(2)
         for step in acted(230):
-            train_step(agent, buf, step, cfg, rng)
+            train_step(agent, step, cfg, rng)
         assert agent.epsilon == max(0.999 ** 230, 0.01)
         assert agent.epsilon == pytest.approx(0.7945, abs=5e-4)
 
     def test_floor_reached(self):
         cfg = tiny_config(episodes=1, episode_length=1, epsilon_decay=0.5)
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
-        buf = ReplayBuffer(cfg.replay_capacity)
         rng = np.random.default_rng(1)
         for step in acted(10):
-            train_step(agent, buf, step, cfg, rng)
+            train_step(agent, step, cfg, rng)
         assert agent.epsilon == cfg.epsilon_min
 
 
@@ -183,7 +190,7 @@ class TestTargets:
         s1 = np.array([0.0, 1.0])
         batch = Transition(s=np.array([s0, s1]), a=np.array([0, 1]),
                            r=np.array([-3.0, 1.0]), s_next=np.array([s1, s0]))
-        z = compute_targets(params, batch, discount=0.9)
+        z = compute_targets(params, batch, 0.9, Workspace((2, 2), 2))
         assert z[0] == pytest.approx(-3.0 + 0.9 * 2.0)
         assert z[1] == pytest.approx(1.0 + 0.9 * 5.0)
 
@@ -192,39 +199,38 @@ class TestTargets:
         params = MlpParams((1, 1), np.array([7.0, 0.0]))
         batch = Transition(s=np.zeros((1, 1)), a=np.array([0]),
                            r=np.array([0.0]), s_next=np.ones((1, 1)))
-        z = compute_targets(params, batch, discount=0.5)
+        z = compute_targets(params, batch, 0.5, Workspace((1, 1), 1))
         assert z[0] == pytest.approx(3.5)
 
 
 class TestTrainStepMechanics:
     def _setup(self, cfg):
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
-        buf = ReplayBuffer(cfg.replay_capacity)
-        return agent, buf, np.random.default_rng(2)
+        return agent, np.random.default_rng(2)
 
     def test_no_update_until_minibatch_full(self):
         cfg = tiny_config(minibatch_size=8)
-        agent, buf, rng = self._setup(cfg)
+        agent, rng = self._setup(cfg)
         frozen = agent.online.copy()
         steps = list(acted(8))
         for step in steps[:7]:
-            train_step(agent, buf, step, cfg, rng)
+            train_step(agent, step, cfg, rng)
             assert params_equal(agent.online, frozen)
-        train_step(agent, buf, steps[7], cfg, rng)
+        train_step(agent, steps[7], cfg, rng)
         assert not params_equal(agent.online, frozen)
 
     def test_ablation_updates_from_first_step(self):
         cfg = tiny_config().ablated()
-        agent, buf, rng = self._setup(cfg)
+        agent, rng = self._setup(cfg)
         frozen = agent.online.copy()
-        train_step(agent, buf, next(acted(1)), cfg, rng)
+        train_step(agent, next(acted(1)), cfg, rng)
         assert not params_equal(agent.online, frozen)
 
     def test_target_sync_period(self):
         cfg = tiny_config(target_sync_period=5, minibatch_size=2)
-        agent, buf, rng = self._setup(cfg)
+        agent, rng = self._setup(cfg)
         for step, transition in enumerate(acted(12), start=1):
-            train_step(agent, buf, transition, cfg, rng)
+            train_step(agent, transition, cfg, rng)
             if step % 5 == 0:
                 assert params_equal(agent.target, agent.online)
         # off the sync boundary the target lags the online net
@@ -233,23 +239,31 @@ class TestTrainStepMechanics:
 
     def test_degenerate_sync_keeps_them_equal(self):
         cfg = tiny_config(target_sync_period=1, minibatch_size=2)
-        agent, buf, rng = self._setup(cfg)
+        agent, rng = self._setup(cfg)
         for step in acted(6):
-            train_step(agent, buf, step, cfg, rng)
+            train_step(agent, step, cfg, rng)
             assert params_equal(agent.target, agent.online)
+
+    def test_nonfinite_reward_raises(self):
+        # the sampled transition's -inf reward makes a -inf target
+        cfg = tiny_config(minibatch_size=1)
+        agent, rng = self._setup(cfg)
+        step = Transition(s=np.zeros(5), a=0, r=-np.inf, s_next=np.zeros(5))
+        with pytest.raises(NumericalError, match="non-finite targets"):
+            train_step(agent, step, cfg, rng)
 
     def test_target_frozen_between_syncs(self):
         cfg = tiny_config(target_sync_period=100, minibatch_size=2)
-        agent, buf, rng = self._setup(cfg)
+        agent, rng = self._setup(cfg)
         snapshot = agent.target.copy()
         for step in acted(20):
-            train_step(agent, buf, step, cfg, rng)
+            train_step(agent, step, cfg, rng)
         assert params_equal(agent.target, snapshot)
 
 
 def desk_agent(seed):
     """An agent at the desk sizes (6x3: 15 inputs, 120 actions), with its
-    replay memory, minibatch generator and acted transitions."""
+    minibatch generator, config and acted transitions."""
     cfg = DqnConfig(hidden_sizes=(128, 128), minibatch_size=32)
     agent = init_agent(15, 120, cfg, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
@@ -257,7 +271,7 @@ def desk_agent(seed):
     steps = [Transition(s=data.random(15), a=int(data.integers(120)),
                         r=-data.random(), s_next=data.random(15))
              for _ in range(150)]
-    return agent, ReplayBuffer(cfg.replay_capacity), rng, cfg, steps
+    return agent, rng, cfg, steps
 
 
 def agent_bytes(agent):
@@ -269,15 +283,15 @@ class TestUpdateBuffers:
     def test_fitted_step_allocates_almost_nothing(self):
         # the workspace, Adam's scratch and the minibatch rows exist after
         # warm-up, so one more fitted step only makes small temporaries
-        agent, buf, rng, cfg, steps = desk_agent(0)
+        agent, rng, cfg, steps = desk_agent(0)
         for step in steps[:50]:
-            train_step(agent, buf, step, cfg, rng)
+            train_step(agent, step, cfg, rng)
         assert agent.opt.timestep > 0
         assert (agent.global_step + 1) % cfg.target_sync_period != 0
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            train_step(agent, buf, steps[50], cfg, rng)
+            train_step(agent, steps[50], cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,14 +300,14 @@ class TestUpdateBuffers:
     def test_agents_stepped_interleaved_match_each_alone(self):
         alone = []
         for seed in (0, 7):
-            agent, buf, rng, cfg, steps = desk_agent(seed)
+            agent, rng, cfg, steps = desk_agent(seed)
             for step in steps:
-                train_step(agent, buf, step, cfg, rng)
+                train_step(agent, step, cfg, rng)
             alone.append(agent_bytes(agent))
         runs = [desk_agent(0), desk_agent(7)]
         for k in range(150):
-            for agent, buf, rng, cfg, steps in runs:
-                train_step(agent, buf, steps[k], cfg, rng)
+            for agent, rng, cfg, steps in runs:
+                train_step(agent, steps[k], cfg, rng)
         assert [agent_bytes(run[0]) for run in runs] == alone
 
 
@@ -418,8 +432,7 @@ class TestLearningRate:
         cfg = tiny_config(minibatch_size=1, lr_initial=1e-3, lr_decay=0.5)
         agent = init_agent(5, 2, cfg, np.random.default_rng(0))
         before = agent.online.flat.copy()
-        train_step(agent, ReplayBuffer(cfg.replay_capacity), next(acted(1)),
-                   cfg, np.random.default_rng(2))
+        train_step(agent, next(acted(1)), cfg, np.random.default_rng(2))
         # bias-corrected first Adam step is -rate * g/|g| up to eps
         step = np.abs(agent.online.flat - before).max()
         assert step == pytest.approx(1e-3, rel=1e-4)

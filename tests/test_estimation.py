@@ -19,6 +19,7 @@ from sensorsched import (ProcessModel, RiccatiConvergenceError,
                          SteadyStateCache, TraceTable, is_controllable,
                          is_observable, remote_error_by_holding,
                          steady_state_covariance)
+from sensorsched import estimation
 from conftest import open_loop_step
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -109,9 +110,10 @@ class TestRiccatiFixedPoint:
         updated = (np.eye(1) - K @ C) @ prior
         assert np.max(np.abs(updated - P)) < 1e-9
 
-    def test_divergence_budget_raises(self, golden_model):
+    def test_divergence_budget_raises(self, golden_model, monkeypatch):
+        monkeypatch.setattr(estimation, "_RICCATI_MAX_ITERS", 3)
         with pytest.raises(RiccatiConvergenceError):
-            steady_state_covariance(golden_model, max_iters=3)
+            steady_state_covariance(golden_model)
 
 
 class TestModelValidation:

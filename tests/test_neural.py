@@ -15,16 +15,22 @@ from hypothesis import strategies as st
 
 from sensorsched import (AdamState, ChecksumError, MalformedFileError,
                          MlpParams, NumericalError, PersistenceError,
-                         VersionMismatchError, adam_update, init_adam,
-                         init_mlp, load_weights, loss_and_gradient,
-                         mlp_forward, save_weights)
-from sensorsched.neural import Workspace
+                         VersionMismatchError, Workspace, adam_update,
+                         init_adam, init_mlp, load_weights,
+                         loss_and_gradient, mlp_forward, save_weights)
 
 layer_sizes = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 # one temporary file is rewritten by every example of a file test
 file_settings = settings(
     deadline=None, max_examples=60,
     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def fit(params, inputs, actions, targets):
+    """loss_and_gradient through a workspace of its own, so the gradient
+    it returns is not overwritten by a later call."""
+    work = Workspace(params.layer_sizes, len(inputs))
+    return loss_and_gradient(params, inputs, actions, targets, work)
 
 
 def numerical_gradient(params, inputs, actions, targets, h=1e-6):
@@ -38,9 +44,9 @@ def numerical_gradient(params, inputs, actions, targets, h=1e-6):
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                hi, _ = loss_and_gradient(params, inputs, actions, targets)
+                hi, _ = fit(params, inputs, actions, targets)
                 flat[i] = keep - h
-                lo, _ = loss_and_gradient(params, inputs, actions, targets)
+                lo, _ = fit(params, inputs, actions, targets)
                 flat[i] = keep
                 gflat[i] = (hi - lo) / (2 * h)
         grads.append((gw, gb))
@@ -57,7 +63,7 @@ class TestForward:
     def test_single_and_batch_agree(self, rng):
         params = init_mlp((4, 8, 3), rng)
         x = rng.standard_normal((5, 4))
-        batch = mlp_forward(params, x)
+        batch = Workspace(params.layer_sizes, 5).forward(params, x)
         for i in range(5):
             assert np.allclose(mlp_forward(params, x[i]), batch[i],
                                rtol=1e-12)
@@ -83,6 +89,13 @@ class TestForward:
         params = init_mlp((2, 2), rng)
         with pytest.raises(NumericalError):
             mlp_forward(params, np.array([np.inf, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(), (1, 4), (5, 4), (1, 1, 4)])
+    def test_only_one_observation_accepted(self, rng, shape):
+        # batches go through Workspace.forward
+        params = init_mlp((4, 3), rng)
+        with pytest.raises(ValueError, match="1-D"):
+            mlp_forward(params, np.zeros(shape))
 
 
 class TestInit:
@@ -118,7 +131,7 @@ class TestGradients:
         inputs = rng.standard_normal((batch, sizes[0]))
         actions = rng.integers(sizes[-1], size=batch)
         targets = rng.standard_normal(batch)
-        _, analytic = loss_and_gradient(params, inputs, actions, targets)
+        _, analytic = fit(params, inputs, actions, targets)
         numeric = numerical_gradient(params, inputs, actions, targets)
         for (aw, ab), (nw, nb) in zip(analytic.layers, numeric):
             assert relative_error(aw, nw) < 1e-7
@@ -129,8 +142,9 @@ class TestGradients:
         inputs = rng.standard_normal((5, 3))
         actions = rng.integers(2, size=5)
         targets = rng.standard_normal(5)
-        loss, _ = loss_and_gradient(params, inputs, actions, targets)
-        out = mlp_forward(params, inputs)
+        work = Workspace(params.layer_sizes, 5)
+        loss, _ = loss_and_gradient(params, inputs, actions, targets, work)
+        out = work.forward(params, inputs)
         picked = out[np.arange(5), actions]
         assert loss == pytest.approx(np.mean((picked - targets) ** 2),
                                      rel=1e-12)
@@ -140,9 +154,9 @@ class TestGradients:
         x = rng.standard_normal((1, 3))
         a = np.array([1])
         t = np.array([0.7])
-        _, single = loss_and_gradient(params, x, a, t)
-        _, stacked = loss_and_gradient(params, np.repeat(x, 6, axis=0),
-                                       np.repeat(a, 6), np.repeat(t, 6))
+        _, single = fit(params, x, a, t)
+        _, stacked = fit(params, np.repeat(x, 6, axis=0), np.repeat(a, 6),
+                         np.repeat(t, 6))
         for (sw, sb), (kw, kb) in zip(single.layers, stacked.layers):
             assert np.allclose(sw, kw, atol=1e-12)
             assert np.allclose(sb, kb, atol=1e-12)
@@ -152,7 +166,7 @@ class TestGradients:
         inputs = rng.standard_normal((2, 3))
         actions = np.array([1, 3])
         targets = np.array([0.0, 0.0])
-        _, grads = loss_and_gradient(params, inputs, actions, targets)
+        _, grads = fit(params, inputs, actions, targets)
         gw_out, gb_out = grads.layers[-1]
         untouched = [0, 2, 4]
         assert np.all(gw_out[:, untouched] == 0.0)
@@ -161,17 +175,14 @@ class TestGradients:
     def test_nonfinite_targets_rejected(self, rng):
         params = init_mlp((3, 2), rng)
         with pytest.raises(NumericalError):
-            loss_and_gradient(params, np.zeros((1, 3)), np.array([0]),
-                              np.array([np.nan]))
+            fit(params, np.zeros((1, 3)), np.array([0]), np.array([np.nan]))
 
     def test_batch_shape_validation(self, rng):
         params = init_mlp((3, 2), rng)
         with pytest.raises(ValueError):
-            loss_and_gradient(params, np.zeros(3), np.array([0]),
-                              np.array([0.0]))
+            fit(params, np.zeros(3), np.array([0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            loss_and_gradient(params, np.zeros((2, 3)), np.array([0]),
-                              np.array([0.0, 0.0]))
+            fit(params, np.zeros((2, 3)), np.array([0]), np.array([0.0, 0.0]))
 
 
 def reference_adam_step(layers, grads, moments, rate, t):
@@ -333,17 +344,17 @@ class TestWorkspaceKernel:
         params = MlpParams((1, 1, 1), np.array([-1.0, 0.0, 2.0, 0.0]))
         args = (np.ones((1, 1)), np.array([0]), np.array([-1.7e308]))
         with np.errstate(over="ignore", invalid="ignore"):
-            _, grads = loss_and_gradient(params, *args)
+            _, grads = fit(params, *args)
             _, ref_grads = reference_loss_and_gradient(params, *args)
         assert np.isnan(grads.layers[0][1][0])
         assert grads.flat.tobytes() == ref_grads.flat.tobytes()
 
     def test_mlp_forward_matches_workspace_forward(self, rng):
         params = init_mlp((4, 6, 3), rng)
-        x = rng.standard_normal((5, 4))
-        work = Workspace(params.layer_sizes, 5)
+        x = rng.standard_normal(4)
+        work = Workspace(params.layer_sizes, 1)
         assert mlp_forward(params, x).tobytes() == \
-            work.forward(params, x).tobytes()
+            work.forward(params, x[None, :])[0].tobytes()
 
     def test_batch_of_another_size_rejected(self, rng):
         params = init_mlp((4, 6, 3), rng)

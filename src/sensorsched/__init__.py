@@ -9,10 +9,9 @@ benchmark harness.
 from .analysis import (DiscountComparison, StabilityReport, abel_comparison,
                        discounted_vs_average, log_success_shortfall_bound,
                        spectral_radius, stability_check,
-                       success_shortfall_bound,
                        threshold_policy_running_cost)
 from .channel import (ChannelModel, channel_reset, channel_step,
-                      spawn_channel_rngs, stationary_success_prob)
+                      spawn_channel_rngs)
 from .dqn import (AgentState, DqnConfig, EpisodeRecord, ReplayBuffer,
                   act_epsilon_greedy, compute_targets, init_agent,
                   scheduling_policy_from, train, train_step, write_curve_csv)

@@ -9,16 +9,17 @@ threshold rule simulated by ``threshold_policy_running_cost``: reserve the
 most reliable channel for whichever sensor has gone longest without a
 delivery, once its holding time passes a threshold.
 
-``success_shortfall_bound`` supports that argument: it bounds the
-probability that a window of L uses of a channel with recovery rate
-q_star contains fewer than n_sensors successes, and decays geometrically
-in L, with per-step decay rate approaching (1 - q_star).
+``log_success_shortfall_bound`` supports that argument: it is the log of
+a bound on the probability that a window of L uses of a channel with
+recovery rate q_star contains fewer than n_sensors successes, a bound that
+decays geometrically in L, with per-step decay rate approaching
+(1 - q_star).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf, lgamma, log, log1p
+from math import inf, lgamma, log, log1p
 
 import numpy as np
 
@@ -50,7 +51,13 @@ def stability_check(scenario):
 
 
 def log_success_shortfall_bound(n_sensors, window, q_star, slack):
-    """Natural log of success_shortfall_bound; usable far past float64 range."""
+    """Natural log of an upper bound on P(fewer than n_sensors successes
+    in a window), usable far past float64 range.
+
+    Bound: (N-1) * C(window, N-1) * (1 - q_star)^(window - 2*slack), valid
+    for window > 2N and slack < N on a channel whose recovery rate is
+    q_star.  Its window-th root tends to 1 - q_star as the window grows.
+    """
     if n_sensors < 1:
         raise ValueError("need at least one sensor")
     if not 0 <= slack < n_sensors:
@@ -65,16 +72,6 @@ def log_success_shortfall_bound(n_sensors, window, q_star, slack):
                  - lgamma(window - n_sensors + 2))
     return (log(n_sensors - 1) + log_binom
             + (window - 2 * slack) * log1p(-q_star))
-
-
-def success_shortfall_bound(n_sensors, window, q_star, slack):
-    """Upper bound on P(fewer than n_sensors successes in a window).
-
-    Bound: (N-1) * C(window, N-1) * (1 - q_star)^(window - 2*slack), valid
-    for window > 2N and slack < N on a channel whose recovery rate is
-    q_star.  Its window-th root tends to 1 - q_star as the window grows.
-    """
-    return exp(log_success_shortfall_bound(n_sensors, window, q_star, slack))
 
 
 def threshold_policy_running_cost(scenario, threshold, steps, seed=0):
@@ -118,20 +115,22 @@ def abel_comparison(costs, deltas):
 
     As delta approaches 1 the discounted value approaches the time average
     (make the horizon long enough that delta^T is negligible).  Any
-    non-finite cost makes every summary +inf.
+    non-finite cost makes every summary +inf.  Every delta must lie in
+    (0, 1), whatever the costs.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 1 or costs.size == 0:
         raise ValueError("costs must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(costs)):
-        return [DiscountComparison(float(d), inf, inf) for d in deltas]
-    average = total_trace(costs) / len(costs)
+    finite = np.all(np.isfinite(costs))
+    average = total_trace(costs) / len(costs) if finite else inf
     rows = []
     for delta in deltas:
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        weights = np.power(delta, np.arange(costs.size))
-        discounted = float((1.0 - delta) * np.dot(weights, costs))
+        discounted = inf
+        if finite:
+            weights = np.power(delta, np.arange(costs.size))
+            discounted = float((1.0 - delta) * np.dot(weights, costs))
         rows.append(DiscountComparison(float(delta), discounted, average))
     return rows
 

@@ -46,13 +46,6 @@ def channel_step(models, gamma, rngs):
     return (rngs.draw() < switch) ^ gamma
 
 
-def stationary_success_prob(model):
-    """Long-run fraction of good slots, q / (p + q)."""
-    if model.p == 0.0 and model.q == 0.0:
-        raise ValueError("p = q = 0 has no unique stationary distribution")
-    return model.q / (model.p + model.q)
-
-
 # Uniforms drawn per channel at a time; Generator.random(k) returns the
 # same values as k scalar random() calls, so the block size changes no path.
 _BLOCK = 256

@@ -55,7 +55,7 @@ def _seed(text):
     return value
 
 
-def _load_config(path, seed_override=None):
+def _load_config(path, seed_override):
     config = dqn.DqnConfig(seed=_default_seed())
     if path is not None:
         with open(path) as fh:

@@ -41,24 +41,23 @@ def _rows(count, width):
 class ReplayBuffer:
     """Bounded FIFO transition store with uniform sampling (with replacement)
     of ``batch_size`` rows: one column per Transition field, with the k-th
-    add in row k % capacity, and the minibatch rows, both allocated on the
-    first add.  ``sample`` overwrites those rows and returns them."""
+    add in row k % capacity, and the minibatch rows, both allocated here for
+    observations of ``width`` features.  ``sample`` overwrites those rows
+    and returns them."""
 
-    def __init__(self, capacity, batch_size):
+    def __init__(self, capacity, batch_size, width):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.batch_size = int(batch_size)
-        self._columns = self._batch = None
+        self._columns = _rows(self.capacity, width)
+        self._batch = _rows(self.batch_size, width)
         self._added = 0
 
     def __len__(self):
         return min(self._added, self.capacity)
 
     def add(self, transition):
-        if self._columns is None:
-            self._columns = _rows(self.capacity, len(transition.s))
-            self._batch = _rows(self.batch_size, len(transition.s))
         row = self._added % self.capacity
         self._columns.s[row] = transition.s
         self._columns.a[row] = transition.a
@@ -173,7 +172,8 @@ def init_agent(obs_dim, n_actions, config, rng):
     rows = config.minibatch_size
     return AgentState(online=online, target=online.copy(),
                       opt=init_adam(online), work=Workspace(sizes, rows),
-                      replay=ReplayBuffer(config.replay_capacity, rows),
+                      replay=ReplayBuffer(config.replay_capacity, rows,
+                                          obs_dim),
                       epsilon=config.epsilon_start)
 
 

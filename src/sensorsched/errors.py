@@ -24,9 +24,9 @@ class TrainingDivergedError(SensorSchedError):
     partial learning curve can still be inspected or written out.
     """
 
-    def __init__(self, message, curve=None):
+    def __init__(self, message, curve):
         super().__init__(message)
-        self.curve = list(curve) if curve is not None else []
+        self.curve = list(curve)
 
 
 class PersistenceError(SensorSchedError):

@@ -77,12 +77,10 @@ class ProcessModel:
 
     W must be symmetric PSD, V symmetric PD, (A, C) observable and
     (A, W^(1/2)) controllable so the filter Riccati recursion has a unique
-    stabilizing fixed point.  ``check=False`` skips the structural checks;
-    it exists for degenerate hand-built models in tests (e.g. noise-free
-    systems) and leaves all guarantees to the caller.
+    stabilizing fixed point.
     """
 
-    def __init__(self, A, C, W, V, check=True):
+    def __init__(self, A, C, W, V):
         A = _as_matrix(A, "A")
         C = _as_matrix(C, "C")
         W = _as_matrix(W, "W")
@@ -100,25 +98,24 @@ class ProcessModel:
         if not np.all(np.isfinite(A)) or not np.all(np.isfinite(C)) \
                 or not np.all(np.isfinite(W)) or not np.all(np.isfinite(V)):
             raise ValueError("model matrices must be finite")
-        if check:
-            if not np.allclose(W, W.T, atol=_EIG_TOL):
-                raise ValueError("W must be symmetric")
-            if not np.allclose(V, V.T, atol=_EIG_TOL):
-                raise ValueError("V must be symmetric")
-            with np.errstate(over="ignore"):
-                W = _symmetrize(W)
-                V = _symmetrize(V)
-            for name, mat in (("W", W), ("V", V)):
-                if not np.all(np.isfinite(mat)):
-                    raise ValueError(f"{name} overflows when symmetrized")
-            if np.linalg.eigvalsh(W).min() < -_EIG_TOL:
-                raise ValueError("W must be positive semidefinite")
-            if np.linalg.eigvalsh(V).min() <= _EIG_TOL:
-                raise ValueError("V must be positive definite")
-            if not is_observable(A, C):
-                raise ValueError("(A, C) must be observable")
-            if not is_controllable(A, _psd_sqrt(W)):
-                raise ValueError("(A, W^(1/2)) must be controllable")
+        if not np.allclose(W, W.T, atol=_EIG_TOL):
+            raise ValueError("W must be symmetric")
+        if not np.allclose(V, V.T, atol=_EIG_TOL):
+            raise ValueError("V must be symmetric")
+        with np.errstate(over="ignore"):
+            W = _symmetrize(W)
+            V = _symmetrize(V)
+        for name, mat in (("W", W), ("V", V)):
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} overflows when symmetrized")
+        if np.linalg.eigvalsh(W).min() < -_EIG_TOL:
+            raise ValueError("W must be positive semidefinite")
+        if np.linalg.eigvalsh(V).min() <= _EIG_TOL:
+            raise ValueError("V must be positive definite")
+        if not is_observable(A, C):
+            raise ValueError("(A, C) must be observable")
+        if not is_controllable(A, _psd_sqrt(W)):
+            raise ValueError("(A, W^(1/2)) must be controllable")
         self.A = A
         self.C = C
         self.W = W

@@ -1,12 +1,13 @@
 """Scenario generation, persistence, policy evaluation, and comparison.
 
 A scenario bundles N process models and M loss channels and derives the
-per-process steady-state caches.  Generation draws symmetric A matrices
-through random orthogonal conjugation of uniform eigenvalues, uniform
-measurement rows, conjugated uniform noise spectra, and uniform channel
-rates, rejecting draws until the structural checks (and, by default, the
-boundedness condition) pass.  Everything is reproducible: one seed fixes
-the scenario, and a saved file round trips byte for byte.
+per-process steady-state caches.  Generation draws 2-state processes
+with scalar measurements: symmetric A matrices through random orthogonal
+conjugation of uniform eigenvalues, uniform measurement rows, conjugated
+uniform noise spectra, and uniform channel rates, rejecting draws until
+the structural checks (and, by default, the boundedness condition) pass.
+Everything is reproducible: one seed fixes the scenario, and a saved file
+round trips byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .policies import (POLICY_NAMES, policy_greedy_covariance,
 
 _FORMAT = "sensorsched-scenario"
 _VERSION = 1
-# scenario_generate's draw ranges and attempt budget
+# scenario_generate's process sizes, draw ranges and attempt budget
+_STATE_DIM = 2
+_MEAS_DIM = 1
 _EIG_RANGE = (0.0, 1.3)
 _NOISE_RANGE = (0.2, 1.0)
 _MAX_ATTEMPTS = 1000
@@ -63,41 +66,41 @@ def _random_orthogonal(dim, rng):
     return q * np.sign(np.diag(r))
 
 
-def _draw_process(rng, state_dim, meas_dim):
-    basis = _random_orthogonal(state_dim, rng)
-    eigs = rng.uniform(*_EIG_RANGE, size=state_dim)
+def _draw_process(rng):
+    basis = _random_orthogonal(_STATE_DIM, rng)
+    eigs = rng.uniform(*_EIG_RANGE, size=_STATE_DIM)
     A = basis @ np.diag(eigs) @ basis.T
-    C = rng.uniform(0.0, 1.0, size=(meas_dim, state_dim))
-    wq = _random_orthogonal(state_dim, rng)
-    W = wq @ np.diag(rng.uniform(*_NOISE_RANGE, size=state_dim)) @ wq.T
-    vq = _random_orthogonal(meas_dim, rng)
-    V = vq @ np.diag(rng.uniform(*_NOISE_RANGE, size=meas_dim)) @ vq.T
+    C = rng.uniform(0.0, 1.0, size=(_MEAS_DIM, _STATE_DIM))
+    wq = _random_orthogonal(_STATE_DIM, rng)
+    W = wq @ np.diag(rng.uniform(*_NOISE_RANGE, size=_STATE_DIM)) @ wq.T
+    vq = _random_orthogonal(_MEAS_DIM, rng)
+    V = vq @ np.diag(rng.uniform(*_NOISE_RANGE, size=_MEAS_DIM)) @ vq.T
     return ProcessModel(A, C, W, V)
 
 
-def scenario_generate(n_sensors, n_channels, seed, require_stable=True,
-                      state_dim=2, meas_dim=1):
+def scenario_generate(n_sensors, n_channels, seed, require_stable=True):
     """Draw a random scenario, rejecting invalid or (optionally) unstable ones.
 
-    Each attempt uses its own RNG substream, so the accepted scenario is a
-    pure function of the seed regardless of how many draws were rejected.
+    Every process has a 2-dimensional state and a scalar measurement.  Each
+    attempt uses its own RNG substream, the seed's child with spawn key
+    ``(attempt,)``, so the accepted scenario is a pure function of the seed
+    regardless of how many draws were rejected.
     """
     if not 1 <= n_channels <= n_sensors:
         raise GenerationError(f"need 1 <= n_channels <= n_sensors, got "
                               f"{n_channels} channels, {n_sensors} sensors")
-    children = np.random.SeedSequence(seed).spawn(_MAX_ATTEMPTS)
     for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.Generator(np.random.Philox(children[attempt]))
+        child = np.random.SeedSequence(seed, spawn_key=(attempt,))
+        rng = np.random.Generator(np.random.Philox(child))
         try:
-            processes = [_draw_process(rng, state_dim, meas_dim)
-                         for _ in range(n_sensors)]
+            processes = [_draw_process(rng) for _ in range(n_sensors)]
         except ValueError:
             continue  # failed a structural check; redraw
         channels = [ChannelModel(p=float(rng.uniform()),
                                  q=float(rng.uniform()))
                     for _ in range(n_channels)]
         metadata = {"attempt": attempt, "require_stable": require_stable,
-                    "state_dim": state_dim, "meas_dim": meas_dim}
+                    "state_dim": _STATE_DIM, "meas_dim": _MEAS_DIM}
         try:
             scenario = Scenario(processes, channels, int(seed), metadata)
         except RiccatiConvergenceError:

@@ -275,6 +275,7 @@ def test_criterion_07_threshold_policy_keeps_cost_bounded():
     assert all(outcomes)
 
 
+@pytest.mark.slow
 def test_criterion_08_baseline_cost_ordering(bench_population,
                                              baseline_costs):
     table, elapsed = baseline_costs
@@ -294,6 +295,7 @@ def test_criterion_08_baseline_cost_ordering(bench_population,
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_09_learned_policy_beats_greedy_covariance(
         bench_population, baseline_costs, learning_results):
     table, _ = baseline_costs
@@ -311,6 +313,7 @@ def test_criterion_09_learned_policy_beats_greedy_covariance(
     assert slowest < 1800.0
 
 
+@pytest.mark.slow
 def test_criterion_10_ablation_does_not_beat_full_agent(learning_results):
     not_better = 0
     for run in learning_results:

@@ -9,7 +9,7 @@ from sensorsched import (ChannelModel, ProcessModel, Scenario,
                          abel_comparison, discounted_vs_average, init_mlp,
                          policy_round_robin, scheduling_policy_from,
                          spectral_radius, stability_check,
-                         success_shortfall_bound, log_success_shortfall_bound,
+                         log_success_shortfall_bound,
                          threshold_policy_running_cost)
 
 
@@ -93,29 +93,24 @@ class TestShortfallBound:
     def test_exact_small_case(self):
         # two sensors, window 5, slack 1, q*=0.5:
         # (N-1) * C(L, N-1) * (1-q*)^(L-2n) = 1 * 5 * 0.5^3 = 0.625
-        assert success_shortfall_bound(2, 5, 0.5, 1) == pytest.approx(0.625)
-
-    def test_log_domain_agrees(self):
-        v = success_shortfall_bound(3, 20, 0.3, 2)
-        assert math.exp(log_success_shortfall_bound(3, 20, 0.3, 2)) \
-            == pytest.approx(v, rel=1e-12)
+        assert log_success_shortfall_bound(2, 5, 0.5, 1) == pytest.approx(
+            math.log(0.625))
 
     def test_perfect_channel_gives_zero(self):
-        assert success_shortfall_bound(4, 100, 1.0, 2) == 0.0
         assert log_success_shortfall_bound(4, 100, 1.0, 2) == -math.inf
 
     def test_single_sensor_gives_zero(self):
-        assert success_shortfall_bound(1, 50, 0.4, 0) == 0.0
+        assert log_success_shortfall_bound(1, 50, 0.4, 0) == -math.inf
 
     def test_preconditions(self):
+        with pytest.raises(ValueError):  # window must exceed 2N
+            log_success_shortfall_bound(3, 6, 0.5, 1)
+        with pytest.raises(ValueError):  # slack must stay below N
+            log_success_shortfall_bound(3, 20, 0.5, 3)
+        with pytest.raises(ValueError):  # q* must be positive
+            log_success_shortfall_bound(3, 20, 0.0, 1)
         with pytest.raises(ValueError):
-            success_shortfall_bound(3, 6, 0.5, 1)  # window must exceed 2N
-        with pytest.raises(ValueError):
-            success_shortfall_bound(3, 20, 0.5, 3)  # slack must stay below N
-        with pytest.raises(ValueError):
-            success_shortfall_bound(3, 20, 0.0, 1)  # q* must be positive
-        with pytest.raises(ValueError):
-            success_shortfall_bound(3, 20, 1.2, 1)
+            log_success_shortfall_bound(3, 20, 1.2, 1)
 
     def test_window_root_limit(self):
         # for large windows the L-th root of the bound approaches 1 - q*
@@ -234,5 +229,7 @@ class TestDiscountComparison:
     def test_invalid_delta_rejected(self):
         with pytest.raises(ValueError):
             abel_comparison(np.ones(10), [1.0])
+        with pytest.raises(ValueError):  # an overflowed path checks too
+            abel_comparison([math.inf], [1.0])
         with pytest.raises(ValueError):
             abel_comparison(np.ones(10), [0.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sensorsched import (ChannelModel, channel_reset, channel_step,
-                         spawn_channel_rngs, stationary_success_prob)
+                         spawn_channel_rngs)
 
 
 def run_chain(model, steps, seed=0, start_good=True):
@@ -33,16 +33,6 @@ class TestDegenerateChains:
 
 
 class TestStationaryDistribution:
-    def test_closed_form(self):
-        assert stationary_success_prob(ChannelModel(0.3, 0.6)) == pytest.approx(
-            2.0 / 3.0)
-        assert stationary_success_prob(ChannelModel(0.0, 0.4)) == 1.0
-        assert stationary_success_prob(ChannelModel(0.4, 0.0)) == 0.0
-
-    def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError, match="stationary"):
-            stationary_success_prob(ChannelModel(0.0, 0.0))
-
     def test_empirical_fraction_matches(self):
         p, q = 0.3, 0.6
         path = run_chain(ChannelModel(p, q), 200_000, seed=5)

@@ -32,7 +32,7 @@ def params_equal(a, b):
 
 
 def numbered(k):
-    """Transition k, with every field derived from k."""
+    """Transition k, with every field derived from k (2 features)."""
     return Transition(s=np.full(2, float(k)), a=k, r=-float(k),
                       s_next=np.full(2, k + 1.0))
 
@@ -53,14 +53,14 @@ def stored(buf):
 
 class TestReplayBuffer:
     def test_fifo_overwrite(self):
-        buf = ReplayBuffer(5, 2000)
+        buf = ReplayBuffer(5, 2000, 2)
         for k in range(1, 9):
             buf.add(numbered(k))
         assert len(buf) == 5
         assert stored(buf) == {4, 5, 6, 7, 8}
 
     def test_partial_fill_samples_added_rows_only(self):
-        buf = ReplayBuffer(5, 2000)
+        buf = ReplayBuffer(5, 2000, 2)
         buf.add(numbered(1))
         buf.add(numbered(2))
         assert len(buf) == 2
@@ -68,14 +68,14 @@ class TestReplayBuffer:
 
     def test_capacity_one_samples_the_latest(self):
         # the ablation's memory: every draw is the transition just added
-        buf = ReplayBuffer(1, 3)
+        buf = ReplayBuffer(1, 3, 2)
         rng = np.random.default_rng(0)
         for k in range(4):
             buf.add(numbered(k))
             assert buf.sample(rng).a.tolist() == [k, k, k]
 
     def test_sample_refills_the_same_rows(self):
-        buf = ReplayBuffer(4, 3)
+        buf = ReplayBuffer(4, 3, 2)
         buf.add(numbered(1))
         rng = np.random.default_rng(0)
         first = buf.sample(rng)
@@ -83,7 +83,7 @@ class TestReplayBuffer:
         assert buf.sample(rng) is first
 
     def test_sampling_uniform_with_replacement(self):
-        buf = ReplayBuffer(3, 6000)
+        buf = ReplayBuffer(3, 6000, 2)
         for k in range(3):
             buf.add(numbered(k))
         rng = np.random.default_rng(0)
@@ -93,14 +93,14 @@ class TestReplayBuffer:
         assert len(draws) == 6000  # replacement: more draws than items
 
     def test_empty_buffer_raises(self):
-        buf = ReplayBuffer(2, 1)
+        buf = ReplayBuffer(2, 1, 2)
         with pytest.raises(IndexError):
             buf.sample(np.random.default_rng(0))
 
     @settings(deadline=None, max_examples=60)
     @given(capacity=st.integers(1, 8), adds=st.integers(1, 30))
     def test_matches_list_model_fifo(self, capacity, adds):
-        buf = ReplayBuffer(capacity, 2000)
+        buf = ReplayBuffer(capacity, 2000, 2)
         model = []
         for k in range(adds):
             buf.add(numbered(k))
@@ -114,7 +114,7 @@ class TestReplayBuffer:
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(0, 1)
+            ReplayBuffer(0, 1, 2)
 
 
 class TestEpsilonSchedule:

@@ -59,15 +59,15 @@ class TestGeneration:
         assert [c.q for c in a.channels] == [c.q for c in b.channels]
 
     def test_shapes_and_counts(self):
-        scn = scenario_generate(4, 2, seed=7, state_dim=3, meas_dim=2)
+        scn = scenario_generate(4, 2, seed=7)
         assert len(scn.processes) == 4
         assert len(scn.channels) == 2
         assert len(scn.caches) == 4
         for p in scn.processes:
-            assert p.A.shape == (3, 3)
-            assert p.C.shape == (2, 3)
-            assert p.W.shape == (3, 3)
-            assert p.V.shape == (2, 2)
+            assert p.A.shape == (2, 2)
+            assert p.C.shape == (1, 2)
+            assert p.W.shape == (2, 2)
+            assert p.V.shape == (1, 1)
 
     def test_drawn_parameter_ranges(self):
         for seed in range(5, 10):
@@ -180,15 +180,33 @@ class TestScenarioPersistence:
             load_scenario(path)
 
 
+# A 3x2 scenario with 1-D processes, as (A, C, W, V) and (p, q).
+ONE_D_PROCESSES = [
+    (0.834981660763961, 0.4343689579417588, 0.9862752162228199,
+     0.6189457828541516),
+    (0.20957651339640773, 0.6940088751362639, 0.2290380197866269,
+     0.6615832557510233),
+    (1.1162949707933445, 0.7559853738082603, 0.5165420724106662,
+     0.897731296439239)]
+ONE_D_CHANNELS = [(0.7021865902720406, 0.42499633379642),
+                  (0.9211088822589582, 0.6609962848567419)]
+
+
 @pytest.fixture(scope="module")
 def saved_scenario_texts(tmp_path_factory):
     """Saved 3x2 scenarios with 1-D and with 2-D processes.  Only 1-D ones
     stay observable with a huge entry in A, so only they reach a diverging
     Riccati recursion."""
     path = tmp_path_factory.mktemp("saved") / "scn.json"
+    one_d = Scenario(
+        [ProcessModel([[a]], [[c]], [[w]], [[v]])
+         for a, c, w, v in ONE_D_PROCESSES],
+        [ChannelModel(p, q) for p, q in ONE_D_CHANNELS], 2,
+        {"attempt": 0, "require_stable": True, "state_dim": 1,
+         "meas_dim": 1})
     texts = []
-    for dim in (1, 2):
-        save_scenario(scenario_generate(3, 2, seed=2, state_dim=dim), path)
+    for scenario in (one_d, scenario_generate(3, 2, seed=2)):
+        save_scenario(scenario, path)
         texts.append(path.read_text())
     return texts
 

@@ -11,8 +11,11 @@ neither replay nor a frozen target) was taken while the ablation still had
 its own no-replay branch, so it pins the capacity-1 form of it.  The
 discounted digest was retaken when ``abel_comparison`` began to average
 the costs left to right, as ``evaluate_policy`` does, instead of with
-``np.mean``'s pairwise sum, so one rollout gives one time average.  A
-change that alters any of these bytes must say why.
+``np.mean``'s pairwise sum, so one rollout gives one time average.  The
+saved-scenario digests were taken while ``scenario_generate`` still took
+the process sizes as arguments and spawned all of a seed's attempt
+substreams up front.  A change that alters any of these bytes must say
+why.
 """
 
 import hashlib
@@ -21,8 +24,9 @@ import numpy as np
 
 from sensorsched import (DqnConfig, discounted_vs_average, env_reset,
                          env_step, evaluate_policy, make_policy,
-                         scenario_generate, spawn_channel_rngs,
-                         threshold_policy_running_cost, train)
+                         save_scenario, scenario_generate,
+                         spawn_channel_rngs, threshold_policy_running_cost,
+                         train)
 
 STEPS = 400
 SEED = 1
@@ -36,6 +40,10 @@ DIGESTS = {
 }
 DQN_DIGEST = "cb0c46d6b12698766408055713586cb2da12e1e00912c58285663ea96bb30dd2"
 ABLATED_DIGEST = "e128923d858fc7ec32ba008aa61fc5fac873595ddc41f3cd49663460a232fa90"
+SCENARIO_DIGESTS = {
+    (6, 3): "9f524440741321e616c6efe119ea2bc6d6f13153c1e4f68b42274942c0954094",
+    (20, 5): "417ef1a3e8a6d6c50bd6d2876f462b817be1079a85bc319a85a7d1ad0ef3069d",
+}
 
 
 def sha256(data):
@@ -99,3 +107,12 @@ def test_greedy_cov_reads_past_frozen_entries():
     # a table shorter than the longest holding time read from it froze
     # before that holding time and answered from its last entry
     assert any(len(c.trace_powers) <= t for c, t in zip(scn.caches, longest))
+
+
+def test_saved_scenarios_are_byte_identical(tmp_path):
+    got = {}
+    for size in SCENARIO_DIGESTS:
+        path = tmp_path / f"{size[0]}x{size[1]}.json"
+        save_scenario(scenario_generate(*size, seed=SEED), path)
+        got[size] = sha256(path.read_bytes())
+    assert got == SCENARIO_DIGESTS

@@ -80,6 +80,8 @@ class ReplayBuffer:
 
 _INTEGER_FIELDS = ("target_sync_period", "minibatch_size", "replay_capacity",
                    "episode_length", "episodes", "seed")
+# numpy's ValueErrors for an array whose size its index type cannot hold
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 def _is_integer(value):
@@ -166,15 +168,22 @@ class EpisodeRecord:
 
 def init_agent(obs_dim, n_actions, config, rng):
     """Fresh online/target pair (initially identical), optimizer, workspace
-    and empty replay memory."""
+    and empty replay memory; NumericalError if they cannot be allocated."""
     sizes = (obs_dim, *config.hidden_sizes, n_actions)
-    online = init_mlp(sizes, rng)
     rows = config.minibatch_size
-    return AgentState(online=online, target=online.copy(),
-                      opt=init_adam(online), work=Workspace(sizes, rows),
-                      replay=ReplayBuffer(config.replay_capacity, rows,
-                                          obs_dim),
-                      epsilon=config.epsilon_start)
+    try:
+        online = init_mlp(sizes, rng)
+        return AgentState(online=online, target=online.copy(),
+                          opt=init_adam(online), work=Workspace(sizes, rows),
+                          replay=ReplayBuffer(config.replay_capacity, rows,
+                                              obs_dim),
+                          epsilon=config.epsilon_start)
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
+        raise NumericalError(
+            f"cannot allocate an agent with layer sizes {sizes} and replay "
+            f"capacity {config.replay_capacity}: {exc}") from exc
 
 
 def act_epsilon_greedy(agent, obs, rng):

@@ -14,7 +14,8 @@ class GenerationError(SensorSchedError):
 
 
 class NumericalError(SensorSchedError):
-    """A computation produced non-finite values where finite ones are required."""
+    """A computation produced non-finite values where finite ones are
+    required, or needs arrays too large to allocate."""
 
 
 class TrainingDivergedError(SensorSchedError):

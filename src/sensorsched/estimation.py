@@ -11,7 +11,8 @@ and the filter gain is constant.  When the smart sensor's estimate reaches
 the remote estimator its error covariance is ``pbar``; after ``tau``
 consecutive steps without a delivery it is the tau-fold composition of the
 open-loop propagation ``P -> A P A' + W`` applied to ``pbar``.  Schedulers
-only ever need traces of those compositions, which are cached per process.
+only ever need traces of those compositions; one ``TraceTable`` stores
+and grows them, a row per process.
 """
 
 from __future__ import annotations
@@ -133,132 +134,108 @@ class ProcessModel:
         return f"ProcessModel(n_x={self.n_x}, n_y={self.n_y})"
 
 
-# Entries every cache computes up front; holding times past it grow the
-# table on demand.
+# Entries every row computes up front; later ones are grown on demand.
 _N_MAX = 256
+# Lookup limit of a frozen row: every holding time is in its padding.
+_UNLIMITED = np.iinfo(np.int64).max
 
 
 class SteadyStateCache:
-    """Steady-state filter quantities plus cached open-loop trace powers.
-
-    ``trace_powers[n]`` is tr of the n-fold open-loop propagation of
-    ``pbar``; the table grows lazily on demand until it freezes.  It
-    freezes when the propagation reaches a float64 fixed point (one more
-    step returns the same bits, so every later entry would repeat the last
-    one) or when the trace overflows float64, after which every entry is
-    +inf (a deliberate representation of an unbounded covariance, not an
-    error).  Past a frozen table's last entry, lookups return that entry
-    and append nothing.  The traces live in one float64 row that doubles
-    when full; only the covariance at the last entry is kept.
-    """
+    """Steady-state filter quantities of one process and a handle on its
+    ``TraceTable`` row of trace powers; a cache in no table makes a one-row
+    table of its own on first use."""
 
     def __init__(self, model, pbar, kalman_gain):
         self.model = model
         self.pbar = _symmetrize(np.array(pbar, dtype=np.float64))
         self.kalman_gain = np.array(kalman_gain, dtype=np.float64)
-        self._tail = self.pbar  # covariance at the last computed entry
-        self._frozen = False
-        self._row = np.empty(_N_MAX + 1)
-        self._row[0] = np.trace(self.pbar)
-        self._len = 1
-        self._grow(_N_MAX)
+        self._table = self._row = None  # set by the table holding the row
+
+    def _table_row(self):
+        if self._table is None:
+            TraceTable([self])
+        return self._table, self._row
 
     @property
     def trace_powers(self):
-        """The computed entries (a view; a frozen table ends at its last)."""
-        return self._row[:self._len]
-
-    @property
-    def frozen(self):
-        """True once the table has stopped growing."""
-        return self._frozen
-
-    def _grow(self, n):
-        A, W = self.model.A, self.model.W
-        while self._len <= n and not self._frozen:
-            with np.errstate(over="ignore", invalid="ignore"):
-                nxt = _symmetrize(A @ self._tail @ A.T + W)
-            tr = float(np.trace(nxt))
-            if nxt.tobytes() == self._tail.tobytes():
-                self._frozen = True
-                break
-            if self._len == len(self._row):
-                self._row = np.concatenate((self._row, np.empty(self._len)))
-            self._frozen = not isfinite(tr)
-            self._row[self._len] = np.inf if self._frozen else tr
-            self._len += 1
-            self._tail = nxt
+        """The computed entries (a view; a frozen row ends at its last)."""
+        table, i = self._table_row()
+        return table._data[i, :table._len[i]]
 
     def trace_at(self, n):
         """tr of the covariance after holding time n (n = 0 gives tr pbar)."""
         if n < 0:
             raise ValueError(f"holding time must be >= 0, got {n}")
-        if n >= self._len:
-            self._grow(n)
-            n = min(n, self._len - 1)
-        return float(self._row[n])
-
-
-# Lookup limit of a frozen row: every holding time is in its padding.
-_UNLIMITED = np.iinfo(np.int64).max
+        table, i = self._table_row()
+        if n >= table._limit[i]:
+            table._grow(i, n)
+        return float(table._data[i, min(n, table._last)])
 
 
 class TraceTable:
-    """The trace tables of N caches, copied into the rows of one (N, L) array.
+    """Trace powers of N caches, stored and grown as rows of one (N, L) array.
 
-    Row i holds the first ``limit[i]`` entries of ``caches[i]``.  A frozen
-    row repeats its cache's last entry out to column L - 1, and holding
-    times past that read column L - 1.  A lookup past an unfrozen row's
-    limit grows the cache through ``trace_at`` and copies only the new
-    entries; L doubles when a row runs out of room, and every row's new
-    columns start as copies of its last one.  ``at`` reads all N traces in
-    one lookup.  ``at_one`` holds every row's trace at holding time 1.
+    Column n of row i is tr of the n-fold propagation ``A P A' + W`` of
+    cache i's ``pbar``: 257 entries up front, later ones on demand, keeping
+    only the covariance at the last.  A row freezes at a float64 fixed point
+    (one more step returns the same bits) or once its trace overflows to
+    +inf (an unbounded covariance, not an error); it then repeats its last
+    entry to column L - 1, which later holding times read.  L doubles when
+    a row runs out of room, each row's new columns copying its last one.
+    ``at`` reads all N traces in one lookup; ``at_one`` holds them at
+    holding time 1.  Each cache points at its row; the table keeps no
+    reference to a cache.
     """
 
     def __init__(self, caches):
-        self.caches = list(caches)
-        self._index = np.arange(len(self.caches))
-        width = max((len(c.trace_powers) for c in self.caches), default=1)
-        self._data = np.empty((len(self.caches), width))
-        self._last = width - 1
-        self._limit = np.zeros(len(self.caches), dtype=np.int64)
-        for i in self._index:
-            self._copy(i)
-        self.at_one = self.at(np.ones(len(self.caches), dtype=np.int64))
+        self._index = np.arange(len(caches))
+        self._data = np.empty((len(caches), _N_MAX + 1))
+        self._last = _N_MAX
+        self._limit = np.ones(len(caches), dtype=np.int64)
+        self._len = [1] * len(caches)
+        self._step = [(c.model.A, c.model.W) for c in caches]
+        self._tail = [c.pbar for c in caches]  # covariance at the last entry
+        for i, cache in enumerate(caches):
+            cache._table, cache._row = self, i
+            self._data[i, 0] = np.trace(cache.pbar)
+            self._grow(i, _N_MAX)
+        self.at_one = self.at(np.ones(len(caches), dtype=np.int64))
         self.at_one.setflags(write=False)
 
-    def _copy(self, i):
-        """Copy cache i's entries past the row's limit, padding if frozen."""
-        cache = self.caches[i]
-        powers, start = cache.trace_powers, self._limit[i]
-        self._data[i, start:len(powers)] = powers[start:]
-        if cache.frozen:
-            self._data[i, len(powers):] = powers[-1]
-            self._limit[i] = _UNLIMITED
-        else:
-            self._limit[i] = len(powers)
-
-    def _extend(self, tau):
-        for i in np.flatnonzero(tau >= self._limit):
-            cache = self.caches[i]
-            cache.trace_at(int(tau[i]))
-            if len(cache.trace_powers) > self._last + 1:
-                width = max(len(cache.trace_powers), 2 * (self._last + 1))
-                self._data = np.pad(self._data,
-                                    ((0, 0), (0, width - self._last - 1)),
-                                    mode="edge")
-                self._last = width - 1
-            self._copy(i)
+    def _grow(self, i, n):
+        """Extend row i through holding time n, or until it freezes."""
+        A, W = self._step[i]
+        tail, length, frozen = self._tail[i], self._len[i], False
+        with np.errstate(over="ignore", invalid="ignore"):
+            while length <= n and not frozen:
+                nxt = _symmetrize(A @ tail @ A.T + W)
+                frozen = nxt.tobytes() == tail.tobytes()
+                if frozen:
+                    break
+                if length > self._last:
+                    self._data = np.pad(self._data, ((0, 0), (0, length)),
+                                        mode="edge")
+                    self._last = 2 * length - 1
+                tr = float(np.trace(nxt))
+                frozen = not isfinite(tr)
+                self._data[i, length] = np.inf if frozen else tr
+                length += 1
+                tail = nxt
+        self._tail[i], self._len[i] = tail, length
+        if frozen:
+            self._data[i, length:] = self._data[i, length - 1]
+        self._limit[i] = _UNLIMITED if frozen else length
 
     def at(self, tau):
         """Trace of row i at holding time tau[i] (>= 0), for every row."""
         if np.count_nonzero(tau >= self._limit):
-            self._extend(tau)
+            for i in np.flatnonzero(tau >= self._limit):
+                self._grow(i, int(tau[i]))
         return self._data[self._index, np.minimum(tau, self._last)]
 
 
 def steady_state_covariance(model):
-    """Fixed point of the posterior Riccati recursion, with gain and traces.
+    """Fixed point of the posterior Riccati recursion, with its gain.
 
     Iterates the measurement-updated covariance map from P = W until the
     sup-norm step falls below ``_RICCATI_TOL`` (Joseph-form update for

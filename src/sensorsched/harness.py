@@ -46,7 +46,7 @@ _MAX_ATTEMPTS = 1000
 class Scenario:
     """N processes and M channels.  Construction derives one steady-state
     cache per process (or raises RiccatiConvergenceError) and ``traces``,
-    the caches' trace tables as the rows of one array."""
+    the table that stores and grows every cache's trace row."""
     processes: list
     channels: list
     seed: int

@@ -9,8 +9,8 @@ import pytest
 
 from sensorsched import (DqnConfig, init_mlp, load_scenario, load_weights,
                          save_weights)
-from sensorsched.cli import (EXIT_GENERATION, EXIT_IO, EXIT_OK, SEED_ENV_VAR,
-                             main)
+from sensorsched.cli import (EXIT_GENERATION, EXIT_IO, EXIT_OK,
+                             EXIT_TRAINING, SEED_ENV_VAR, main)
 from conftest import resave_scenario
 
 # Edits that keep a scenario file well formed but leave it unusable.
@@ -164,6 +164,24 @@ class TestTrain:
                      "--weights-out", str(tmp_path / "w.bin")])
         assert code == EXIT_IO
         assert "bad.json" in capsys.readouterr().err
+
+    # numpy refuses a 10**18-row replay memory before allocating anything
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_agent_too_large_to_allocate_exits_training_code(
+            self, scenario_file, tmp_path, command, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({**TINY_CONFIG,
+                                    "replay_capacity": 10**18}))
+        out = tmp_path / "out"
+        flags = {"train": ["--weights-out", str(out)],
+                 "compare": ["--out", str(out), "--eval-steps", "10"]}
+        code = main([command, "--scenario", str(scenario_file),
+                     "--config", str(huge), *flags[command]])
+        assert code == EXIT_TRAINING
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "replay capacity 1000000000000000000" in err[0]
+        assert not out.exists()
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -377,6 +377,18 @@ class TestTraining:
         assert isinstance(info.value.curve, list)
         assert len(info.value.curve) < 10
 
+    def test_agent_too_large_to_allocate_is_a_numerical_error(self):
+        # 20 sensors on 20 channels give 20! actions: numpy refuses the
+        # output layer's weights before it allocates anything
+        scn = Scenario(
+            [ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])] * 20,
+            [ChannelModel(0.1, 0.9)] * 20, seed=0)
+        cfg = DqnConfig(episodes=1, episode_length=1, hidden_sizes=(1,),
+                        minibatch_size=1, replay_capacity=1)
+        with pytest.raises(NumericalError,
+                           match=r"\(60, 1, 2432902008176640000\)"):
+            train(cfg, scn)
+
     def test_observation_scaling_fold_is_exact(self, six_sensor_scenario,
                                                rng):
         from sensorsched import init_mlp, mlp_forward, observation_build, \

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from sensorsched import (ProcessModel, RiccatiConvergenceError,
-                         SteadyStateCache, TraceTable, is_controllable,
-                         is_observable, remote_error_by_holding,
-                         steady_state_covariance)
+from sensorsched import (ChannelModel, ProcessModel,
+                         RiccatiConvergenceError, Scenario, SteadyStateCache,
+                         TraceTable, is_controllable, is_observable,
+                         remote_error_by_holding, steady_state_covariance)
 from sensorsched import estimation
 from conftest import open_loop_step
 
@@ -223,7 +223,7 @@ class TestCovariancePropagation:
         cache = steady_state_covariance(model)
         far = cache.trace_at(100_000)
         frozen = len(cache.trace_powers)
-        assert frozen < 100 and cache.frozen
+        assert frozen < 100
         assert far == cache.trace_powers[-1] == 4.0 / 3.0
         assert len(cache.trace_powers) == frozen
 
@@ -238,9 +238,9 @@ class TestTableFreezing:
     def test_lookups_equal_plain_propagation_bit_for_bit(self, model, data):
         A, W, pbar = model
         # some drawn pairs fail ProcessModel's checks, so the cache gets a
-        # stand-in holding the two fields it reads.  It computes 257
-        # entries up front; a freeze below that happens on construction,
-        # one above it during the lookups
+        # stand-in holding the two fields its table reads.  The one-row
+        # table made at the first lookup computes 257 entries up front; a
+        # freeze below that happens then, one above it during later lookups
         cache = SteadyStateCache(SimpleNamespace(A=A, W=W), pbar,
                                  np.zeros((len(A), 1)))
         traces, freeze = open_loop_reference(A, W, cache.pbar, REFERENCE_CAP)
@@ -282,23 +282,25 @@ class TestTraceTable:
         table = TraceTable(caches)
         table.at(np.full(len(caches), 700))  # widens the table
         # a cache that grows past the table's width through its own
-        # trace_at is copied from when the table next needs a longer row
+        # trace_at grows its row of the table, which then reads it
         marginal = caches[2]
         want = mixed_caches()[2].trace_at(5000)
         marginal.trace_at(5000)
         assert table.at(np.full(len(caches), 5000))[2] == want
 
     def test_caches_do_not_keep_the_table_alive(self):
-        # no reference cycle: a dropped scenario's table is freed at once,
-        # not whenever the cycle collector next runs
-        caches = mixed_caches()
-        table = TraceTable(caches)
-        table.at(np.full(len(caches), 700))
-        dropped = weakref.ref(table)
+        # each cache points at its table, but the table points at no
+        # cache, so there is no reference cycle: a dropped scenario's table
+        # and caches are freed at once, not whenever the cycle collector
+        # next runs
+        scn = Scenario([c.model for c in mixed_caches()],
+                       [ChannelModel(0.2, 0.8)], seed=0)
+        scn.traces.at(np.full(len(scn.caches), 700))
+        dropped = [weakref.ref(obj) for obj in [scn.traces, *scn.caches]]
         gc.disable()
         try:
-            del table
-            assert dropped() is None
+            del scn
+            assert [ref() for ref in dropped] == [None] * len(dropped)
         finally:
             gc.enable()
 
@@ -307,8 +309,8 @@ class TestTraceTable:
         first, second = TraceTable(caches), TraceTable(caches[::-1])
         reference = mixed_caches()
         sampler = np.random.default_rng(8)
-        # holding times creep up, so each table often finds a row whose
-        # entries the other table grew while its own row still has room
+        # the second table takes over the caches' handles, and holding
+        # times creep up, so both tables grow rows of the same caches
         for k in range(0, 900, 3):
             tau = k + sampler.integers(0, 6, size=len(caches))
             want = np.array([c.trace_at(int(t))

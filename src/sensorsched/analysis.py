@@ -25,7 +25,8 @@ import numpy as np
 
 from .channel import channel_reset, channel_step, spawn_channel_rngs
 # env_step is not called here; perfbench/tracing.py patches it by this name
-from .environment import env_step, rollout, total_trace  # noqa: F401
+from .environment import (env_step, rollout, step_buffer,  # noqa: F401
+                          total_trace)
 
 
 def spectral_radius(A):
@@ -83,13 +84,13 @@ def threshold_policy_running_cost(scenario, threshold, steps, seed=0):
     nothing is sent.  All loss chains still advance so the sample path
     matches the full environment's channel behavior.
     """
+    running = step_buffer(steps)
     n = len(scenario.processes)
     q_values = [c.q for c in scenario.channels]
     best = int(np.argmax(q_values))
     rngs = spawn_channel_rngs(seed, len(scenario.channels))
     gamma = channel_reset(scenario.channels)
     tau = np.zeros(n, dtype=np.int64)
-    running = np.empty(steps)
     cumulative = 0.0
     for k in range(steps):
         sender = int(np.argmax(tau))

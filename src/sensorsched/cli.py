@@ -1,16 +1,15 @@
 """Command-line interface.
 
-Subcommands: gen-scenario, train, eval, compare, check-stability.  The
-default RNG seed can be set through the SENSORSCHED_SEED environment
-variable; explicit --seed flags win.  Exit codes: 0 success, 2 usage,
-3 scenario generation failure, 4 training/numerical failure, 5 file I/O or
-persistence failure.
+Subcommands: gen-scenario, train, eval, compare, check-stability.  Every
+subcommand with --seed reads the SENSORSCHED_SEED environment variable,
+which the flag overrides; a malformed value fails even then.  Exit codes:
+0 success, 2 usage, 3 scenario generation failure, 4 training/numerical
+failure (an allocation too large included), 5 file I/O or persistence.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -30,15 +29,15 @@ EXIT_IO = 5
 SEED_ENV_VAR = "SENSORSCHED_SEED"
 
 
-def _default_seed():
+def _run_seed(seed_flag):
+    """The --seed flag, else SENSORSCHED_SEED (checked even so), else 0."""
     value = os.environ.get(SEED_ENV_VAR)
-    if value is None:
-        return 0
     try:
-        return _seed(value)
+        default = 0 if value is None else _seed(value)
     except (ValueError, argparse.ArgumentTypeError):
         raise PersistenceError(f"{SEED_ENV_VAR}={value!r} is not a "
                                f"non-negative integer") from None
+    return default if seed_flag is None else seed_flag
 
 
 def _positive_int(text):
@@ -55,8 +54,9 @@ def _seed(text):
     return value
 
 
-def _load_config(path, seed_override):
-    config = dqn.DqnConfig(seed=_default_seed())
+def _load_config(path, seed_flag):
+    """Seed precedence: the --seed flag, the file, SENSORSCHED_SEED, 0."""
+    fields = {"seed": _run_seed(None)}
     if path is not None:
         with open(path) as fh:
             try:
@@ -65,22 +65,17 @@ def _load_config(path, seed_override):
                 raise PersistenceError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise PersistenceError(f"{path}: config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(dqn.DqnConfig)}
-        unknown = set(data) - known
-        if unknown:
-            raise PersistenceError(
-                f"{path}: unknown config keys {sorted(unknown)}")
-        try:
-            config = dqn.DqnConfig(**{"seed": config.seed, **data})
-        except (TypeError, ValueError) as exc:
-            raise PersistenceError(f"{path}: bad config: {exc}") from exc
-    if seed_override is not None:
-        config = dataclasses.replace(config, seed=seed_override)
-    return config
+        fields.update(data)
+    if seed_flag is not None:
+        fields["seed"] = seed_flag
+    try:
+        return dqn.DqnConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise PersistenceError(f"{path}: bad config: {exc}") from exc
 
 
 def _cmd_gen_scenario(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _run_seed(args.seed)
     scenario = harness.scenario_generate(
         args.n, args.m, seed=seed,
         require_stable=not args.allow_unstable)
@@ -93,7 +88,7 @@ def _cmd_gen_scenario(args):
 
 def _cmd_train(args):
     scenario = harness.load_scenario(args.scenario)
-    config = _load_config(args.config, seed_override=args.seed)
+    config = _load_config(args.config, args.seed)
     weights, curve = dqn.train(config, scenario, timing=args.timing)
     save_weights(weights, args.weights_out)
     if args.curve_out:
@@ -105,7 +100,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     scenario = harness.load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _run_seed(args.seed)
     weights = None
     if args.policy == "dqn":
         if args.weights is None:
@@ -125,9 +120,9 @@ def _cmd_eval(args):
 
 def _cmd_compare(args):
     scenario = harness.load_scenario(args.scenario)
-    config = _load_config(args.config, seed_override=args.seed)
+    config = _load_config(args.config, args.seed)
     rows, artifacts = harness.compare_all(
-        scenario, config, eval_steps=args.eval_steps, eval_seed=config.seed,
+        scenario, config, eval_steps=args.eval_steps,
         include_ablation=not args.no_ablation, timing=args.timing)
     harness.write_compare_csv(rows, args.out)
     if args.curve_out and artifacts.get("dqn", {}).get("curve"):

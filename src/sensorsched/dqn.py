@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -328,9 +328,5 @@ def write_curve_csv(curve, path):
     asked to, so identical seeds produce byte-identical files."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["episode", "avg_cost", "epsilon", "lr",
-                         "wall_seconds"])
-        for rec in curve:
-            writer.writerow([
-                rec.episode, repr(rec.avg_cost), repr(rec.epsilon),
-                repr(rec.lr), repr(rec.wall_seconds)])
+        writer.writerow([f.name for f in fields(EpisodeRecord)])
+        writer.writerows(astuple(rec) for rec in curve)

@@ -138,6 +138,18 @@ def env_step(scenario, state, action, chan_rngs):
                     step_index=state.step_index + 1), 0.0 - total_trace(trace)
 
 
+def step_buffer(steps):
+    """An uninitialised array of ``steps`` floats: ValueError if steps < 1,
+    else NumericalError if numpy refuses it, which means it is too large."""
+    if steps < 1:
+        raise ValueError(f"need steps >= 1, got {steps}")
+    try:
+        return np.empty(steps)
+    except (MemoryError, ValueError) as exc:
+        raise NumericalError(
+            f"cannot allocate a run of {steps} steps: {exc}") from exc
+
+
 def rollout(scenario, policy, steps, seed):
     """Run a policy along one continuous trajectory of ``steps`` steps.
 
@@ -149,14 +161,13 @@ def rollout(scenario, policy, steps, seed):
     what matters for a continuing task.  A non-finite cost stops the run,
     and so does a NumericalError from the policy: a learned policy reads
     the traces, and once those overflow its network cannot evaluate.
+    Too few ``steps`` raise ValueError, too many to allocate NumericalError.
     """
-    if steps < 1:
-        raise ValueError(f"need steps >= 1, got {steps}")
+    costs = step_buffer(steps)
     ss_chan, ss_policy = np.random.SeedSequence(seed).spawn(2)
     chan_rngs = spawn_channel_rngs(ss_chan, len(scenario.channels))
     policy_rng = np.random.Generator(np.random.Philox(ss_policy))
     state = env_reset(scenario)
-    costs = np.empty(steps)
     trace_sums = np.zeros(len(scenario.processes))
     # overflow is an anticipated, reported outcome, so the run-up to it
     # should not spray numpy warnings

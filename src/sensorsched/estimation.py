@@ -65,12 +65,8 @@ def is_observable(A, C):
 
 
 def is_controllable(A, B):
-    """Rank test on the controllability matrix [B, AB, ..., A^(n-1)B]."""
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return _rank(np.hstack(blocks)) == n
+    """Duality: (A, B) is controllable exactly when (A', B') is observable."""
+    return is_observable(A.T, B.T)
 
 
 class ProcessModel:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -236,50 +236,49 @@ class CompareRow:
     note: str = ""
 
 
-def compare_all(scenario, config, eval_steps=50_000, eval_seed=0,
-                include_ablation=True, timing=False):
-    """Evaluate the four baselines plus trained (and ablated) schedulers.
+def compare_all(scenario, config, eval_steps=50_000, include_ablation=True,
+                timing=False):
+    """Rows for the baselines in ``POLICY_NAMES`` order, then the trained
+    scheduler and (with ``include_ablation``) its ablation.
 
-    All evaluations share one seed, which in particular gives every policy
-    the identical channel sample path.  A diverged training run becomes a
-    row with NaN cost and an explanatory note instead of aborting the whole
-    comparison.  Returns (rows, artifacts); artifacts carries the trained
-    weights and curves keyed by policy name.
+    Every variant is trained before any row is evaluated from
+    ``config.seed``, so an agent that cannot be allocated fails at once and
+    every policy sees the same channel sample path.  A diverged training
+    run gives a row with NaN cost and a note.  Returns (rows, artifacts);
+    artifacts holds the weights (None if diverged) and curve by name.
     """
-    rows = []
-    artifacts = {}
-    for name in ("random", "roundrobin", "greedy-tau", "greedy-cov"):
-        report = evaluate_policy(scenario, make_policy(name, scenario),
-                                 eval_steps, seed=eval_seed, name=name)
-        rows.append(CompareRow(policy=name,
-                               avg_cost=report.empirical_avg_cost,
-                               steps=report.steps, seed=eval_seed))
+    if eval_steps < 1:
+        raise ValueError(f"need eval_steps >= 1, got {eval_steps}")
     variants = [("dqn", config)]
     if include_ablation:
         variants.append(("dqn-ablated", config.ablated()))
+    entries = [(name, make_policy(name, scenario), "")
+               for name in POLICY_NAMES if name != "dqn"]
+    artifacts = {}
     for name, cfg in variants:
         try:
             weights, curve = train(cfg, scenario, timing=timing)
         except TrainingDivergedError as exc:
-            rows.append(CompareRow(policy=name, avg_cost=float("nan"),
-                                   steps=0, seed=eval_seed,
-                                   note=f"training diverged: {exc}"))
             artifacts[name] = {"weights": None, "curve": exc.curve}
+            entries.append((name, None, f"training diverged: {exc}"))
             continue
         artifacts[name] = {"weights": weights, "curve": curve}
-        policy = make_policy("dqn", scenario, weights=weights)
+        entries.append((name, make_policy("dqn", scenario, weights=weights),
+                        ""))
+    rows = []
+    for name, policy, note in entries:
+        if policy is None:
+            rows.append(CompareRow(name, float("nan"), 0, config.seed, note))
+            continue
         report = evaluate_policy(scenario, policy, eval_steps,
-                                 seed=eval_seed, name=name)
-        rows.append(CompareRow(policy=name,
-                               avg_cost=report.empirical_avg_cost,
-                               steps=report.steps, seed=eval_seed))
+                                 seed=config.seed, name=name)
+        rows.append(CompareRow(name, report.empirical_avg_cost, report.steps,
+                               config.seed))
     return rows, artifacts
 
 
 def write_compare_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["policy", "avg_cost", "steps", "seed", "note"])
-        for row in rows:
-            writer.writerow([row.policy, repr(row.avg_cost), row.steps,
-                             row.seed, row.note])
+        writer.writerow([f.name for f in fields(CompareRow)])
+        writer.writerows(astuple(row) for row in rows)

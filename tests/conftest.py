@@ -4,10 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, ProcessModel, Scenario,
                          steady_state_covariance)
 from sensorsched.harness import _payload_checksum
+
+
+# Python floats a CSV cell must carry unchanged, every special value included.
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.2e-308,
+     1e308]))
 
 
 def open_loop_step(A, W, P):

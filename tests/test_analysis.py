@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sensorsched import (ChannelModel, ProcessModel, Scenario,
+from sensorsched import (ChannelModel, NumericalError, ProcessModel, Scenario,
                          abel_comparison, discounted_vs_average, init_mlp,
                          policy_round_robin, scheduling_policy_from,
                          spectral_radius, stability_check,
@@ -111,6 +111,8 @@ class TestShortfallBound:
             log_success_shortfall_bound(3, 20, 0.0, 1)
         with pytest.raises(ValueError):
             log_success_shortfall_bound(3, 20, 1.2, 1)
+        with pytest.raises(ValueError, match="at least one sensor"):
+            log_success_shortfall_bound(0, 20, 0.5, 0)
 
     def test_window_root_limit(self):
         # for large windows the L-th root of the bound approaches 1 - q*
@@ -189,6 +191,17 @@ class TestThresholdPolicy:
                                            seed=5)
         assert np.array_equal(c1, c2)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            threshold_policy_running_cost(margin_scenario(0.9, 0.8), 1, steps)
+
+    def test_step_count_too_large_to_allocate_is_a_numerical_error(self):
+        # numpy refuses 10**20 entries before it allocates anything
+        with pytest.raises(NumericalError, match=str(10**20)):
+            threshold_policy_running_cost(margin_scenario(0.9, 0.8), 1,
+                                          10**20)
+
 
 class TestDiscountComparison:
     def test_constant_cost_stream(self):
@@ -233,3 +246,7 @@ class TestDiscountComparison:
             abel_comparison([math.inf], [1.0])
         with pytest.raises(ValueError):
             abel_comparison(np.ones(10), [0.0])
+
+    def test_empty_costs_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            abel_comparison([], [0.9])

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensorsched import (DqnConfig, init_mlp, load_scenario, load_weights,
-                         save_weights)
+from sensorsched import (ChannelModel, DqnConfig, ProcessModel, Scenario,
+                         init_mlp, load_scenario, load_weights,
+                         save_scenario, save_weights)
 from sensorsched.cli import (EXIT_GENERATION, EXIT_IO, EXIT_OK,
                              EXIT_TRAINING, SEED_ENV_VAR, main)
 from conftest import resave_scenario
@@ -99,6 +100,16 @@ class TestGenScenario:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_seed_flag_wins_over_env_var(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        monkeypatch.setenv(SEED_ENV_VAR, "7")
+        main(["gen-scenario", "--n", "3", "--m", "1", "--seed", "8",
+              "--out", str(a)])
+        monkeypatch.delenv(SEED_ENV_VAR)
+        main(["gen-scenario", "--n", "3", "--m", "1", "--seed", "8",
+              "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_bad_env_var_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         code = main(["gen-scenario", "--n", "3", "--m", "1",
@@ -183,6 +194,28 @@ class TestTrain:
         assert "replay capacity 1000000000000000000" in err[0]
         assert not out.exists()
 
+    def test_seed_precedence(self, scenario_file, tmp_path, monkeypatch):
+        # the --seed flag, then the config file, then SENSORSCHED_SEED
+        def weights(env, file_seed, flag):
+            if env is None:
+                monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(SEED_ENV_VAR, env)
+            cfg = tmp_path / "cfg.json"
+            doc = TINY_CONFIG if file_seed is None else {**TINY_CONFIG,
+                                                         "seed": file_seed}
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / "w.bin"
+            argv = ["train", "--scenario", str(scenario_file), "--config",
+                    str(cfg), "--weights-out", str(out)]
+            assert main(argv + ([] if flag is None else ["--seed", flag])
+                        ) == EXIT_OK
+            return out.read_bytes()
+        assert weights(None, None, "5") != weights(None, None, "6")
+        assert weights("5", None, None) == weights(None, None, "5")
+        assert weights("5", 6, None) == weights(None, None, "6")
+        assert weights("5", 6, "7") == weights(None, None, "7")
+
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("Omitted fields keep their defaults:")[1]
@@ -240,6 +273,30 @@ class TestEval:
             main(["eval", "--scenario", str(scenario_file),
                   "--policy", "random", "--steps", steps])
         assert info.value.code == 2
+
+    def test_step_count_too_large_to_allocate_exits_training_code(
+            self, scenario_file, capsys):
+        # numpy refuses 10**20 entries before it allocates anything
+        code = main(["eval", "--scenario", str(scenario_file),
+                     "--policy", "random", "--steps", str(10**20)])
+        assert code == EXIT_TRAINING
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(10**20) in err[0]
+
+    def test_overflow_step_is_printed(self, tmp_path, capsys):
+        # an unstable process on a channel that never delivers: its trace
+        # overflows float64 near holding time 512
+        path = tmp_path / "starved.json"
+        save_scenario(Scenario(
+            [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
+            [ChannelModel(1.0, 0.0)], seed=0), path)
+        code = main(["eval", "--scenario", str(path), "--policy", "random",
+                     "--steps", "2000"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("avg_cost=inf")
+        assert lines[1].startswith("cost overflowed at step ")
 
     def test_corrupted_scenario_exits_io_code(self, scenario_file):
         raw = json.loads(scenario_file.read_text())
@@ -338,6 +395,17 @@ class TestNegativeSeeds:
         with pytest.raises(SystemExit) as info:
             main(argv + ["--seed", "-1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command",
+                             ["gen-scenario", "train", "eval", "compare"])
+    def test_malformed_env_var_exits_io_code_even_with_seed_flag(
+            self, scenario_file, config_file, tmp_path, command, monkeypatch,
+            capsys):
+        argv = self.commands(scenario_file, config_file, tmp_path)[command]
+        monkeypatch.setenv(SEED_ENV_VAR, "bad")
+        assert main(argv + ["--seed", "1"]) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {SEED_ENV_VAR}='bad' is not a non-negative integer"]
 
     @pytest.mark.parametrize("command", ["gen-scenario", "train", "eval"])
     def test_negative_seed_env_var_exits_io_code(

@@ -1,5 +1,6 @@
 """Q-learning machinery tests: buffer, schedule, targets, loop mechanics."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sensorsched import (ChannelModel, DqnConfig, NumericalError,
+from sensorsched import (ChannelModel, DqnConfig, EpisodeRecord,
+                         NumericalError,
                          ProcessModel, ReplayBuffer, Scenario, Transition,
                          TrainingDivergedError, SensorSchedError, Workspace,
                          act_epsilon_greedy, compute_targets, env_reset,
@@ -16,6 +18,7 @@ from sensorsched import (ChannelModel, DqnConfig, NumericalError,
                          write_curve_csv)
 from sensorsched.dqn import fold_observation_scaling
 from sensorsched.neural import MlpParams
+from conftest import CSV_FLOATS
 
 
 def tiny_config(**kw):
@@ -377,6 +380,21 @@ class TestTraining:
         assert isinstance(info.value.curve, list)
         assert len(info.value.curve) < 10
 
+    def test_infinite_episode_average_aborts(self):
+        # the same starved sensor, but no forward pass (every action is
+        # exploratory) and no update (the minibatch outgrows the episode),
+        # so the overflowed traces reach only the episode's average cost
+        scn = Scenario(
+            [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
+            [ChannelModel(1.0, 0.0)], seed=0)
+        cfg = DqnConfig(episodes=2, episode_length=600, hidden_sizes=(4,),
+                        minibatch_size=700, replay_capacity=700, seed=0,
+                        epsilon_start=1.0, epsilon_min=1.0)
+        with pytest.raises(TrainingDivergedError,
+                           match="episode 0: average cost inf") as info:
+            train(cfg, scn)
+        assert info.value.curve == []
+
     def test_agent_too_large_to_allocate_is_a_numerical_error(self):
         # 20 sensors on 20 channels give 20! actions: numpy refuses the
         # output layer's weights before it allocates anything
@@ -428,6 +446,14 @@ class TestTraining:
             DqnConfig(epsilon_min=0.5, epsilon_start=0.1)
         with pytest.raises(ValueError):
             DqnConfig(replay_capacity=8, minibatch_size=32)
+        for bad, named in [({"epsilon_decay": 0.0}, "epsilon_decay"),
+                           ({"epsilon_decay": 1.5}, "epsilon_decay"),
+                           ({"target_sync_period": 0}, "sync period"),
+                           ({"minibatch_size": 0}, "minibatch size"),
+                           ({"episodes": 0}, "episodes"),
+                           ({"episode_length": 0}, "episode_length")]:
+            with pytest.raises(ValueError, match=named):
+                DqnConfig(**bad)
         abl = DqnConfig().ablated()
         assert (abl.replay_capacity, abl.minibatch_size,
                 abl.target_sync_period) == (1, 1, 1)
@@ -471,3 +497,22 @@ class TestCurveCsv:
         assert len(lines) == 3
         assert all(line.endswith(",0.0") for line in lines[1:])
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(curve=st.lists(st.builds(EpisodeRecord, episode=st.integers(),
+                                    avg_cost=CSV_FLOATS, epsilon=CSV_FLOATS,
+                                    lr=CSV_FLOATS, wall_seconds=CSV_FLOATS),
+                          max_size=5))
+    def test_bytes_match_explicit_repr_cells(self, tmp_path, curve):
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        write_curve_csv(curve, ours)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["episode", "avg_cost", "epsilon", "lr",
+                             "wall_seconds"])
+            for rec in curve:
+                writer.writerow([
+                    rec.episode, repr(rec.avg_cost), repr(rec.epsilon),
+                    repr(rec.lr), repr(rec.wall_seconds)])
+        assert ours.read_bytes() == reference.read_bytes()

@@ -156,6 +156,13 @@ class TestModelValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             ProcessModel(np.eye(2), [[1.0, 0.0]], np.eye(3), [[1.0]])
+        with pytest.raises(ValueError, match="C has 3 columns"):
+            ProcessModel(np.eye(2), [[1.0, 0.0, 0.0]], np.eye(2), [[1.0]])
+
+    def test_rejects_asymmetric_v(self):
+        with pytest.raises(ValueError, match="V must be symmetric"):
+            ProcessModel(np.eye(2), np.eye(2), np.eye(2),
+                         [[1.0, 0.5], [0.0, 1.0]])
 
     def test_structural_predicates(self):
         A = np.array([[0.9, 0.2], [0.0, 0.7]])

@@ -1,6 +1,7 @@
 """Scenario generation, persistence, evaluation, and comparison table."""
 
 import copy
+import csv
 import json
 from functools import reduce
 from operator import getitem
@@ -10,19 +11,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sensorsched import (ChannelModel, ChecksumError, DqnConfig,
-                         GenerationError, MalformedFileError, PersistenceError,
-                         ProcessModel, Scenario, VersionMismatchError,
-                         compare_all, evaluate_policy, load_scenario,
+from sensorsched import (ChannelModel, ChecksumError, CompareRow, DqnConfig,
+                         GenerationError, MalformedFileError, NumericalError,
+                         PersistenceError, ProcessModel,
+                         RiccatiConvergenceError, Scenario,
+                         TrainingDivergedError, VersionMismatchError,
+                         compare_all, evaluate_policy, harness, load_scenario,
                          make_policy, policy_random, save_scenario,
                          scenario_generate, stability_check,
                          write_compare_csv, write_eval_report)
-from conftest import resave_scenario
+from conftest import CSV_FLOATS, resave_scenario
 
 # Replacement values for a retyped field, and for one set out of range.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                  st.text(max_size=3), st.just([]), st.just({}),
                  st.lists(st.floats(-2.0, 2.0), max_size=3))
+# Texts a CSV cell must carry unchanged: the characters csv has to quote
+# or escape, and printable ASCII.
+CSV_TEXT = st.text(st.one_of(st.characters(min_codepoint=32,
+                                           max_codepoint=126),
+                             st.sampled_from(',"\n\r')))
 OUT_OF_RANGE = st.sampled_from([-1.0, 0.0, 1.5, 1e160, -1e160, 1e308,
                                 float("inf"), float("-inf"), float("nan")])
 
@@ -104,6 +112,34 @@ class TestGeneration:
     def test_zero_channels_rejected(self):
         with pytest.raises(GenerationError):
             scenario_generate(4, 0, seed=0)
+
+    # each stand-in fails once, on the first attempt, then delegates
+    @pytest.mark.parametrize("name, error", [
+        ("_draw_process", ValueError("(A, C) must be observable")),
+        ("steady_state_covariance", RiccatiConvergenceError("no fixed point")),
+    ])
+    def test_failed_attempt_is_redrawn(self, monkeypatch, name, error):
+        assert scenario_generate(3, 1, seed=1, require_stable=False
+                                 ).metadata["attempt"] == 0
+        real = getattr(harness, name)
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error
+            return real(*args)
+        monkeypatch.setattr(harness, name, fails_once)
+        scn = scenario_generate(3, 1, seed=1, require_stable=False)
+        assert scn.metadata["attempt"] == 1
+
+    def test_exhausted_attempts_raise(self, monkeypatch):
+        def always_fails(rng):
+            raise ValueError("(A, C) must be observable")
+        monkeypatch.setattr(harness, "_draw_process", always_fails)
+        monkeypatch.setattr(harness, "_MAX_ATTEMPTS", 3)
+        with pytest.raises(GenerationError, match="3 attempts"):
+            scenario_generate(3, 1, seed=1)
 
     def test_metadata_records_inputs(self):
         scn = scenario_generate(6, 3, seed=9)
@@ -320,6 +356,12 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="steps"):
             evaluate_policy(six_sensor_scenario, policy_random, steps)
 
+    def test_step_count_too_large_to_allocate_is_a_numerical_error(
+            self, six_sensor_scenario):
+        # numpy refuses 10**20 entries before it allocates anything
+        with pytest.raises(NumericalError, match=str(10**20)):
+            evaluate_policy(six_sensor_scenario, policy_random, 10**20)
+
     def test_make_policy_rejects_unknown(self, six_sensor_scenario):
         with pytest.raises(ValueError):
             make_policy("mystery", six_sensor_scenario)
@@ -332,7 +374,7 @@ class TestCompareTable:
         cfg = DqnConfig(episodes=2, episode_length=40, hidden_sizes=(8,),
                         minibatch_size=4, replay_capacity=64, seed=0)
         rows, artifacts = compare_all(six_sensor_scenario, cfg,
-                                      eval_steps=800, eval_seed=0)
+                                      eval_steps=800)
         assert [r.policy for r in rows] == [
             "random", "roundrobin", "greedy-tau", "greedy-cov", "dqn",
             "dqn-ablated"]
@@ -372,6 +414,85 @@ class TestCompareTable:
         # baseline rows still produced (evaluation itself may overflow,
         # which is reported, not raised)
         assert len(rows) == 5
+
+
+    def test_agent_too_large_fails_before_any_evaluation(
+            self, six_sensor_scenario, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["name"])
+            return evaluate_policy(*args, **kwargs)
+        monkeypatch.setattr(harness, "evaluate_policy", counting)
+        cfg = DqnConfig(episodes=1, episode_length=10, hidden_sizes=(8,),
+                        minibatch_size=4, replay_capacity=10**18)
+        with pytest.raises(NumericalError, match="replay capacity"):
+            compare_all(six_sensor_scenario, cfg, eval_steps=100)
+        assert calls == []
+
+    def test_every_row_is_evaluated_from_the_config_seed(
+            self, six_sensor_scenario):
+        cfg = DqnConfig(episodes=1, episode_length=30, hidden_sizes=(8,),
+                        minibatch_size=4, replay_capacity=64, seed=7)
+        rows, artifacts = compare_all(six_sensor_scenario, cfg,
+                                      eval_steps=300, include_ablation=False)
+        assert [r.seed for r in rows] == [7] * 5
+        policies = {"random": policy_random,
+                    "dqn": make_policy("dqn", six_sensor_scenario,
+                                       weights=artifacts["dqn"]["weights"])}
+        for row in (rows[0], rows[-1]):
+            report = evaluate_policy(six_sensor_scenario,
+                                     policies[row.policy], 300, seed=7)
+            assert (row.avg_cost, row.steps) == (report.empirical_avg_cost,
+                                                 report.steps)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_eval_steps_below_one_rejected_before_training(
+            self, six_sensor_scenario, monkeypatch, steps):
+        trained = []
+        monkeypatch.setattr(harness, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(ValueError, match="eval_steps"):
+            compare_all(six_sensor_scenario, DqnConfig(), eval_steps=steps)
+        assert trained == []
+
+    def test_diverged_variant_keeps_its_place(self, six_sensor_scenario,
+                                              monkeypatch):
+        real = harness.train
+
+        def unablated_diverges(cfg, scenario, timing=False):
+            if cfg.replay_capacity > 1:
+                raise TrainingDivergedError("stand-in", curve=[])
+            return real(cfg, scenario, timing=timing)
+        monkeypatch.setattr(harness, "train", unablated_diverges)
+        cfg = DqnConfig(episodes=1, episode_length=30, hidden_sizes=(8,),
+                        minibatch_size=4, replay_capacity=64)
+        rows, artifacts = compare_all(six_sensor_scenario, cfg,
+                                      eval_steps=200)
+        dqn, ablated = rows[-2:]
+        assert (dqn.policy, dqn.steps, dqn.note) == (
+            "dqn", 0, "training diverged: stand-in")
+        assert np.isnan(dqn.avg_cost)
+        assert (ablated.policy, ablated.steps, ablated.note) == (
+            "dqn-ablated", 200, "")
+        assert artifacts["dqn"] == {"weights": None, "curve": []}
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.builds(CompareRow, policy=CSV_TEXT,
+                                   avg_cost=CSV_FLOATS, steps=st.integers(),
+                                   seed=st.integers(), note=CSV_TEXT),
+                         max_size=5))
+    def test_csv_bytes_match_explicit_repr_cells(self, tmp_path, rows):
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        write_compare_csv(rows, ours)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["policy", "avg_cost", "steps", "seed", "note"])
+            for row in rows:
+                writer.writerow([row.policy, repr(row.avg_cost), row.steps,
+                                 row.seed, row.note])
+        assert ours.read_bytes() == reference.read_bytes()
 
 
 def test_random_policy_importable_via_make_policy(six_sensor_scenario):

@@ -395,6 +395,22 @@ class TestPersistence:
         with pytest.raises(MalformedFileError):
             load_weights(path)
 
+    @pytest.mark.parametrize("sizes, values, message", [
+        ((3, 2), 7, "payload"),   # (3, 2) needs 3*2 + 2 = 8 values
+        ((3, 2), 9, "payload"),
+        ((3,), 0, "two layer sizes"),
+    ])
+    def test_header_and_payload_must_agree(self, tmp_path, sizes, values,
+                                           message):
+        # the checksum matches, so only the size check can catch these
+        body = struct.pack("<II4sI", 1, 4, b"relu", len(sizes))
+        body += struct.pack(f"<{len(sizes)}I", *sizes)
+        body += np.zeros(values).tobytes()
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"QNET" + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(MalformedFileError, match=message):
+            load_weights(path)
+
     def test_truncation_rejected(self, rng, tmp_path):
         path = tmp_path / "w.bin"
         save_weights(init_mlp((3, 2), rng), path)

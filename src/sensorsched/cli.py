@@ -125,7 +125,7 @@ def _cmd_compare(args):
         scenario, config, eval_steps=args.eval_steps,
         include_ablation=not args.no_ablation, timing=args.timing)
     harness.write_compare_csv(rows, args.out)
-    if args.curve_out and artifacts.get("dqn", {}).get("curve"):
+    if args.curve_out:
         dqn.write_curve_csv(artifacts["dqn"]["curve"], args.curve_out)
     width = max(len(r.policy) for r in rows)
     for row in rows:

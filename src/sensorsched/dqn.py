@@ -78,18 +78,20 @@ class ReplayBuffer:
         return out
 
 
-_INTEGER_FIELDS = ("target_sync_period", "minibatch_size", "replay_capacity",
-                   "episode_length", "episodes", "seed")
+_KINDS = {"int": (numbers.Integral, "an integer"),
+          "float": (numbers.Real, "a number")}
 # numpy's ValueErrors for an array whose size its index type cannot hold
 _TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
 
 
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_kind(value, kind=numbers.Integral):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
 class DqnConfig:
+    """Hyperparameters of ``train``.  Fields annotated ``int`` or ``float``
+    reject other kinds and booleans with a TypeError naming the field."""
     discount: float = 0.95
     epsilon_start: float = 1.0
     epsilon_min: float = 0.01
@@ -105,14 +107,15 @@ class DqnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            if not _is_integer(getattr(self, name)):
-                raise TypeError(f"{name} must be an integer, "
-                                f"got {getattr(self, name)!r}")
+        for f in fields(self):
+            kind, noun = _KINDS.get(f.type, (None, None))
+            value = getattr(self, f.name)
+            if kind and not _is_kind(value, kind):
+                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.hidden_sizes, (list, tuple)) or not all(
-                _is_integer(h) and h >= 1 for h in self.hidden_sizes):
+                _is_kind(h) and h >= 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be a list of positive "
                              f"integers, got {self.hidden_sizes!r}")
         if not 0.0 < self.discount < 1.0:

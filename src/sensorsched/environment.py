@@ -55,10 +55,10 @@ class Transition:
 
 
 def action_count(n_sensors, n_channels):
-    """Number of ordered assignments: N!/(N-M)!."""
+    """Number of ordered assignments, N!/(N-M)!; needs 1 <= M <= N."""
     if not 1 <= n_channels <= n_sensors:
-        raise ValueError(
-            f"need 1 <= channels <= sensors, got {n_channels}, {n_sensors}")
+        raise ValueError(f"need 1 <= n_channels <= n_sensors, got "
+                         f"{n_channels} channels, {n_sensors} sensors")
     return perm(n_sensors, n_channels)
 
 

@@ -233,38 +233,34 @@ class TraceTable:
 def steady_state_covariance(model):
     """Fixed point of the posterior Riccati recursion, with its gain.
 
-    Iterates the measurement-updated covariance map from P = W until the
-    sup-norm step falls below ``_RICCATI_TOL`` (Joseph-form update for
-    numerical robustness).  Raises RiccatiConvergenceError if the budget of
-    ``_RICCATI_MAX_ITERS`` runs out, or at once if an iterate is
-    non-finite, since it can then never converge.
-    """
+    Iterates the measurement-updated covariance map (Joseph form) from
+    P = W, each pass first taking the gain at its P, until the sup-norm
+    step falls below ``_RICCATI_TOL``.  Raises RiccatiConvergenceError if
+    ``_RICCATI_MAX_ITERS`` updates do not converge, or at once on a
+    non-finite iterate, which can never converge."""
     A, C, W, V = model.A, model.C, model.W, model.V
     eye = np.eye(model.n_x)
-    P = W.copy()
+    P, step = W.copy(), np.inf
     # overflow ends in the non-finite check below; it is not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(_RICCATI_MAX_ITERS):
+        for it in range(_RICCATI_MAX_ITERS + 1):
             prior = A @ P @ A.T + W
             S = C @ prior @ C.T + V
             K = np.linalg.solve(S, C @ prior).T
+            if step < _RICCATI_TOL:
+                break
+            if it == _RICCATI_MAX_ITERS:
+                raise RiccatiConvergenceError(
+                    f"no fixed point within {_RICCATI_MAX_ITERS} iterations "
+                    f"(tol={_RICCATI_TOL}) for model with A={A.tolist()}")
             IKC = eye - K @ C
             P_next = _symmetrize(IKC @ prior @ IKC.T + K @ V @ K.T)
             step = np.max(np.abs(P_next - P))
             P = P_next
-            if step < _RICCATI_TOL:
-                break
             if not isfinite(step):
                 raise RiccatiConvergenceError(
                     f"non-finite iterate after {it + 1} iterations for "
                     f"model with A={A.tolist()}")
-        else:
-            raise RiccatiConvergenceError(
-                f"no fixed point within {_RICCATI_MAX_ITERS} iterations "
-                f"(tol={_RICCATI_TOL}) for model with A={A.tolist()}")
-    prior = A @ P @ A.T + W
-    S = C @ prior @ C.T + V
-    K = np.linalg.solve(S, C @ prior).T
     return SteadyStateCache(model, P, K)
 
 

@@ -23,7 +23,8 @@ from .analysis import stability_check
 from .channel import ChannelModel
 from .dqn import scheduling_policy_from, train
 # env_step is not called here; perfbench/tracing.py patches it by this name
-from .environment import env_step, rollout, total_trace  # noqa: F401
+from .environment import env_step  # noqa: F401
+from .environment import action_count, rollout, total_trace
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
                      RiccatiConvergenceError,
                      TrainingDivergedError, VersionMismatchError)
@@ -44,9 +45,9 @@ _MAX_ATTEMPTS = 1000
 
 @dataclass
 class Scenario:
-    """N processes and M channels.  Construction derives one steady-state
-    cache per process (or raises RiccatiConvergenceError) and ``traces``,
-    the table that stores and grows every cache's trace row."""
+    """N processes and 1 <= M <= N channels, checked (ValueError) before
+    any solve.  Construction derives one steady-state cache per process (or
+    raises RiccatiConvergenceError) and ``traces``, their trace table."""
     processes: list
     channels: list
     seed: int
@@ -55,6 +56,7 @@ class Scenario:
     traces: TraceTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        action_count(len(self.processes), len(self.channels))
         self.caches = [steady_state_covariance(p) for p in self.processes]
         self.traces = TraceTable(self.caches)
 
@@ -86,9 +88,10 @@ def scenario_generate(n_sensors, n_channels, seed, require_stable=True):
     ``(attempt,)``, so the accepted scenario is a pure function of the seed
     regardless of how many draws were rejected.
     """
-    if not 1 <= n_channels <= n_sensors:
-        raise GenerationError(f"need 1 <= n_channels <= n_sensors, got "
-                              f"{n_channels} channels, {n_sensors} sensors")
+    try:
+        action_count(n_sensors, n_channels)
+    except ValueError as exc:
+        raise GenerationError(str(exc)) from exc
     for attempt in range(_MAX_ATTEMPTS):
         child = np.random.SeedSequence(seed, spawn_key=(attempt,))
         rng = np.random.Generator(np.random.Philox(child))
@@ -140,7 +143,8 @@ def save_scenario(scenario, path):
 
 
 def load_scenario(path):
-    """Parse, verify checksum and version, and rebuild the scenario."""
+    """Parse, verify checksum and version, and rebuild the scenario; what
+    ``Scenario`` rejects (counts, a failed solve) is a MalformedFileError."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -166,13 +170,9 @@ def load_scenario(path):
         metadata = dict(data["metadata"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{path}: bad field: {exc}") from exc
-    if not 1 <= len(channels) <= len(processes):
-        raise MalformedFileError(
-            f"{path}: need 1 <= channels <= processes, got {len(channels)} "
-            f"channels, {len(processes)} processes")
     try:
         return Scenario(processes, channels, seed, metadata)
-    except RiccatiConvergenceError as exc:
+    except (RiccatiConvergenceError, ValueError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sensorsched
 from sensorsched import (ChannelModel, DqnConfig, ProcessModel, Scenario,
                          init_mlp, load_scenario, load_weights,
                          save_scenario, save_weights)
@@ -24,6 +28,12 @@ UNUSABLE_EDITS = {
             A=[[1e160]], C=[[1.0]], W=[[1.0]], V=[[1.0]]),
     "W overflows when symmetrized":
         lambda doc: doc["processes"][0].update(W=[[1.7e308, 0.0], [0.0, 1.0]]),
+    # 1e18 * [[1, 1], [1, 1]] + I rounds to a singular innovation
+    # covariance, so the first gain solve raises LinAlgError
+    "singular innovation covariance":
+        lambda doc: doc["processes"][0].update(
+            A=[[1e9]], C=[[1.0], [1.0]], W=[[1.0]],
+            V=[[1.0, 0.0], [0.0, 1.0]]),
 }
 TINY_CONFIG = {"episodes": 2, "episode_length": 30, "hidden_sizes": [8],
                "minibatch_size": 4, "replay_capacity": 64}
@@ -44,6 +54,10 @@ BAD_CONFIGS = {
                             "hidden_sizes"),
     "zero-width layer": ({**TINY_CONFIG, "hidden_sizes": [0]},
                          "hidden_sizes"),
+    "string discount": ({**TINY_CONFIG, "discount": "0.9"}, "discount"),
+    "null epsilon_start": ({**TINY_CONFIG, "epsilon_start": None},
+                           "epsilon_start"),
+    "boolean lr_initial": ({**TINY_CONFIG, "lr_initial": True}, "lr_initial"),
     "number": (42, "JSON object"),
     "null": (None, "JSON object"),
     "string": ("episodes", "JSON object"),
@@ -353,6 +367,25 @@ class TestCompare:
                             "greedy-cov", "dqn", "dqn-ablated"]
         assert curve.exists()
 
+    # training diverges in episode 0, as in the harness divergence test
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_curve_written_when_dqn_diverges_in_first_episode(self,
+                                                              tmp_path):
+        scn = tmp_path / "dead.json"
+        save_scenario(Scenario(
+            [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],
+            [ChannelModel(1.0, 0.0)], seed=0), scn)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "episode_length": 600,
+                                   "hidden_sizes": [4]}))
+        curve = tmp_path / "curve.csv"
+        code = main(["compare", "--scenario", str(scn), "--config", str(cfg),
+                     "--out", str(tmp_path / "table.csv"),
+                     "--curve-out", str(curve), "--eval-steps", "400"])
+        assert code == EXIT_OK
+        assert curve.read_text().splitlines() == [
+            "episode,avg_cost,epsilon,lr,wall_seconds"]
+
     def test_eval_steps_below_one_is_a_usage_error(self, scenario_file,
                                                   tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -425,3 +458,18 @@ class TestCheckStability:
         keys = [line.split(":")[0] for line in lines]
         assert keys == ["rho_max", "q_max", "margin", "satisfied"]
         assert lines[-1].split(": ")[1] in ("true", "false")
+
+
+def test_cli_imports_only_the_standard_library_and_numpy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # importing the CLI and building its parser loads
+    script = ("import sys; before = set(sys.modules); "
+              "import sensorsched.cli; sensorsched.cli.build_parser(); "
+              "print(*sorted(set(sys.modules) - before))")
+    src = Path(sensorsched.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    loaded = {name.split(".")[0] for name in out.split()}
+    assert "numpy" in loaded and "sensorsched" in loaded
+    assert loaded - sys.stdlib_module_names - {"numpy", "sensorsched"} == set()

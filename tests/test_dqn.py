@@ -1,6 +1,7 @@
 """Q-learning machinery tests: buffer, schedule, targets, loop mechanics."""
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,10 @@ from sensorsched import (ChannelModel, DqnConfig, EpisodeRecord,
 from sensorsched.dqn import fold_observation_scaling
 from sensorsched.neural import MlpParams
 from conftest import CSV_FLOATS
+
+# DqnConfig's fields whose annotation fixes their kind
+TYPED_FIELDS = [f.name for f in dataclasses.fields(DqnConfig)
+                if f.type in ("int", "float")]
 
 
 def tiny_config(**kw):
@@ -457,6 +462,19 @@ class TestTraining:
         abl = DqnConfig().ablated()
         assert (abl.replay_capacity, abl.minibatch_size,
                 abl.target_sync_period) == (1, 1, 1)
+
+    @given(name=st.sampled_from(TYPED_FIELDS),
+           value=st.one_of(st.text(max_size=4), st.none(), st.booleans(),
+                           st.lists(st.integers(), max_size=2)))
+    def test_typed_field_of_another_kind_names_the_field(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            DqnConfig(**{name: value})
+
+    def test_numpy_scalars_pass_the_kind_checks(self):
+        cfg = DqnConfig(discount=np.float32(0.9), lr_initial=np.float64(1e-3),
+                        episodes=np.int64(3), seed=np.uint8(2),
+                        hidden_sizes=[np.int32(4)])
+        assert cfg.ablated().episodes == 3
 
 
 class TestLearningRate:

@@ -120,6 +120,18 @@ class TestRiccatiFixedPoint:
         with pytest.raises(RiccatiConvergenceError):
             steady_state_covariance(golden_model)
 
+    def test_fixed_point_reached_on_the_last_allowed_update(
+            self, golden_model, monkeypatch):
+        # the golden model's 13th update is its first step below the
+        # tolerance: a budget of 13 returns, with the gain at that point
+        monkeypatch.setattr(estimation, "_RICCATI_MAX_ITERS", 13)
+        cache = steady_state_covariance(golden_model)
+        assert cache.pbar[0, 0].hex() == "0x1.3c6ef37308518p-1"
+        assert cache.kalman_gain[0, 0].hex() == "0x1.3c6ef3730000ap-1"
+        monkeypatch.setattr(estimation, "_RICCATI_MAX_ITERS", 12)
+        with pytest.raises(RiccatiConvergenceError, match="within 12"):
+            steady_state_covariance(golden_model)
+
 
 class TestModelValidation:
     def test_rejects_unobservable_pair(self):

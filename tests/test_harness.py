@@ -150,6 +150,20 @@ class TestGeneration:
         assert scn.metadata["attempt"] >= 0
 
 
+class TestScenarioCounts:
+    @pytest.mark.parametrize("n_channels", [0, 3])
+    def test_bad_channel_count_rejected_before_any_solve(self, monkeypatch,
+                                                         n_channels):
+        solves = []
+        monkeypatch.setattr(harness, "steady_state_covariance",
+                            solves.append)
+        process = ProcessModel([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="n_channels"):
+            Scenario([process, process],
+                     [ChannelModel(0.5, 0.5)] * n_channels, seed=0)
+        assert solves == []
+
+
 class TestScenarioPersistence:
     def test_round_trip_equality(self, tmp_path):
         scn = scenario_generate(5, 2, seed=3)

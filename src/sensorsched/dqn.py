@@ -12,6 +12,11 @@ stored.
 The ablation (``DqnConfig.ablated``) is the same loop with a replay memory
 and minibatch of one transition, so each step fits the latest transition,
 and a sync period of one, so the frozen copy is the online network.
+
+The networks, their workspace and Adam's moments are float32.  The
+simulator, observations, replay memory, rewards and targets stay float64
+and are cast at the network's input; the trained weights are returned
+upcast to float64.
 """
 
 from __future__ import annotations
@@ -91,7 +96,9 @@ def _is_kind(value, kind=numbers.Integral):
 @dataclass
 class DqnConfig:
     """Hyperparameters of ``train``.  Fields annotated ``int`` or ``float``
-    reject other kinds and booleans with a TypeError naming the field."""
+    reject other kinds and booleans with a TypeError naming the field, and
+    a ``float`` field rejects an integer too large for a float with a
+    ValueError naming it."""
     discount: float = 0.95
     epsilon_start: float = 1.0
     epsilon_min: float = 0.01
@@ -112,6 +119,12 @@ class DqnConfig:
             value = getattr(self, f.name)
             if kind and not _is_kind(value, kind):
                 raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+            if f.type == "float":
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(
+                        f"{f.name} is too large for a float") from None
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.hidden_sizes, (list, tuple)) or not all(
@@ -170,12 +183,13 @@ class EpisodeRecord:
 
 
 def init_agent(obs_dim, n_actions, config, rng):
-    """Fresh online/target pair (initially identical), optimizer, workspace
-    and empty replay memory; NumericalError if they cannot be allocated."""
+    """Fresh float32 online/target pair (initially identical, cast from a
+    float64 draw), optimizer, workspace and empty replay memory;
+    NumericalError if they cannot be allocated."""
     sizes = (obs_dim, *config.hidden_sizes, n_actions)
     rows = config.minibatch_size
     try:
-        online = init_mlp(sizes, rng)
+        online = init_mlp(sizes, rng).astype(np.float32)
         return AgentState(online=online, target=online.copy(),
                           opt=init_adam(online), work=Workspace(sizes, rows),
                           replay=ReplayBuffer(config.replay_capacity, rows,
@@ -243,8 +257,9 @@ def train(config, scenario, timing=False):
     network output aborts with TrainingDivergedError carrying the partial
     curve.  Each step acts on the normalized observation, advances the
     MDP with ``env_step`` and hands the transition to ``train_step``.  The
-    returned weights consume raw observations: the trace scaling is folded
-    into the first layer before returning.
+    returned weights are the float64 upcast of the online network and
+    consume raw observations: the trace scaling is folded into the first
+    layer before returning.
     """
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_env, ss_act, ss_batch = root.spawn(4)
@@ -263,16 +278,22 @@ def train(config, scenario, timing=False):
         state = env_reset(scenario)
         obs = observation_build(state, scenario, normalize=True)
         total_cost = 0.0
+        # overflow ends in a typed error (non-finite network output or
+        # target, or average cost), so it is not warned about
         try:
-            for _ in range(config.episode_length):
-                a_idx = act_epsilon_greedy(agent, obs, rng_act)
-                action = action_decode(a_idx, n, m)
-                state, reward = env_step(scenario, state, action, chan_rngs)
-                new_obs = observation_build(state, scenario, normalize=True)
-                step = Transition(s=obs, a=a_idx, r=reward, s_next=new_obs)
-                train_step(agent, step, config, rng_batch)
-                obs = new_obs
-                total_cost -= reward
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(config.episode_length):
+                    a_idx = act_epsilon_greedy(agent, obs, rng_act)
+                    action = action_decode(a_idx, n, m)
+                    state, reward = env_step(scenario, state, action,
+                                             chan_rngs)
+                    new_obs = observation_build(state, scenario,
+                                                normalize=True)
+                    step = Transition(s=obs, a=a_idx, r=reward,
+                                      s_next=new_obs)
+                    train_step(agent, step, config, rng_batch)
+                    obs = new_obs
+                    total_cost -= reward
         except NumericalError as exc:
             raise TrainingDivergedError(
                 f"episode {episode}: {exc}", curve=curve) from exc
@@ -295,9 +316,10 @@ def fold_observation_scaling(params, scenario):
     Dividing input feature i by a constant c is equivalent to dividing row
     i of the first weight matrix by c; applying that to the trace block
     makes the trained network and the raw observation convention agree, so
-    saved weights need no companion scaling metadata.
+    saved weights need no companion scaling metadata.  Returns a float64
+    copy, folded in float64 whatever the dtype of ``params``.
     """
-    folded = params.copy()
+    folded = params.astype(np.float64)
     w0 = folded.layers[0][0]
     n = len(scenario.processes)
     if w0.shape[0] != 2 * n + len(scenario.channels):

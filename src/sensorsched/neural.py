@@ -3,7 +3,14 @@
 Hidden layers use ReLU, the output layer is affine.  The loss used for
 Q-learning is the mean squared error between scalar targets and the output
 units selected by a per-sample action index, so gradients flow only through
-each sample's chosen output.  Everything is float64.
+each sample's chosen output.
+
+Every pass runs in the dtype of the parameters' ``flat`` buffer.  Training
+holds its networks, workspace and Adam moments in float32; initial draws,
+weight files and evaluation are float64.  Inputs are cast to the
+parameters' dtype on entry, and a value past that dtype's range becomes
+inf, which the finiteness checks report as a ``NumericalError``.  Targets
+and the loss stay float64.
 """
 
 from __future__ import annotations
@@ -23,11 +30,16 @@ _ACTIVATION = "relu"
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+# Adam keeps v * _V_SCALE**2 by squaring g * _V_SCALE, so that float32's
+# g**2 overflows at |g| ~ 2e28 instead of 1.8e19; a power of two changes
+# no float64 bit of the update away from the subnormal range.
+_V_SCALE = 2.0 ** -30
 
 
 class MlpParams:
-    """All weights and biases in one float64 vector ``flat``, W then b per
-    layer, row-major; ``layers[l] = (W, b)`` are views, W (fan_in, fan_out)."""
+    """All weights and biases in one vector ``flat`` (float64 unless given),
+    W then b per layer, row-major; ``layers[l] = (W, b)`` are views, W
+    (fan_in, fan_out)."""
 
     def __init__(self, layer_sizes, flat=None):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
@@ -51,6 +63,10 @@ class MlpParams:
     def copy(self):
         return MlpParams(self.layer_sizes, self.flat.copy())
 
+    def astype(self, dtype):
+        """A copy with ``flat`` cast to ``dtype``."""
+        return MlpParams(self.layer_sizes, self.flat.astype(dtype))
+
 
 def init_mlp(layer_sizes, rng):
     """Glorot-uniform weights, zero biases."""
@@ -68,21 +84,38 @@ class Workspace:
     (``forward``, ``loss_and_gradient``, the bootstrap targets) writes
     into: per layer the output (ReLU applied on hidden layers) and the loss
     gradient with respect to the pre-activation, per hidden layer a boolean
-    ReLU mask, plus the gradient ``MlpParams`` and a ``targets`` vector.
-    Each use overwrites what the last one left."""
+    ReLU mask, plus the gradient ``MlpParams`` and a float64 ``targets``
+    vector.  The per-layer buffers and gradient take the dtype of the
+    parameters passed to ``forward``.  Each use overwrites what the last
+    one left."""
 
     def __init__(self, layer_sizes, batch):
-        shapes = [(batch, n) for n in layer_sizes[1:]]
-        self.acts = [np.empty(shape) for shape in shapes]
-        self.d_z = [np.empty(shape) for shape in shapes]
-        self.masks = [np.empty(shape, dtype=bool) for shape in shapes[:-1]]
-        self.grads = MlpParams(layer_sizes)
+        self.layer_sizes = tuple(layer_sizes)
         self.targets = np.empty(batch)
         self.rows = np.arange(batch)
+        self._allocate(np.float64)
+
+    def _allocate(self, dtype):
+        shapes = [(len(self.rows), n) for n in self.layer_sizes[1:]]
+        self.acts = [np.empty(shape, dtype) for shape in shapes]
+        self.d_z = [np.empty(shape, dtype) for shape in shapes]
+        self.masks = [np.empty(shape, dtype=bool) for shape in shapes[:-1]]
+        self.grads = MlpParams(self.layer_sizes).astype(dtype)
 
     def forward(self, params, x):
         """Network outputs for a (B, d) batch, written into these buffers."""
+        if params.flat.dtype != self.grads.flat.dtype:
+            self._allocate(params.flat.dtype)
         return _forward(params, x, self.acts)
+
+
+def _as_dtype(x, dtype):
+    """``x`` as an array of ``dtype``; a value past its range becomes inf."""
+    x = np.asarray(x)
+    if x.dtype == dtype:
+        return x
+    with np.errstate(over="ignore"):
+        return x.astype(dtype)
 
 
 def _forward(params, x, acts):
@@ -92,7 +125,7 @@ def _forward(params, x, acts):
         raise ValueError(
             f"input width {x.shape[1]}, network expects {params.layer_sizes[0]}")
     last = len(params.layers) - 1
-    a = x
+    a = _as_dtype(x, params.flat.dtype)
     for l, (w, b) in enumerate(params.layers):
         z = acts[l]
         np.matmul(a, w, out=z)
@@ -108,11 +141,12 @@ def _forward(params, x, acts):
 def mlp_forward(params, x):
     """Evaluate the network on one 1-D observation; batches run through
     ``Workspace.forward``."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"mlp_forward takes one 1-D observation, "
                          f"got shape {x.shape}")
-    acts = [np.empty((1, n)) for n in params.layer_sizes[1:]]
+    acts = [np.empty((1, n), params.flat.dtype)
+            for n in params.layer_sizes[1:]]
     return _forward(params, x[None, :], acts)[0]
 
 
@@ -121,9 +155,10 @@ def loss_and_gradient(params, inputs, actions, targets, work):
 
     inputs: (B, d); actions: (B,) int indices; targets: (B,) floats; work:
     a ``Workspace`` for batch B.  Returns (loss, grads) with grads the
-    workspace's gradient ``MlpParams``, overwritten by its next use.
+    workspace's gradient ``MlpParams``, overwritten by its next use.  The
+    residuals and the loss are float64 whatever the parameters' dtype.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = _as_dtype(inputs, params.flat.dtype)
     actions = np.asarray(actions, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.float64)
     if inputs.ndim != 2:
@@ -181,11 +216,12 @@ def init_adam(params):
 
 
 def adam_update(params, grads, opt, rate):
-    """One Adam step of size ``rate`` in place.
+    """One Adam step of size ``rate`` in place, in the parameters' dtype.
 
     Computes rate * (m / c1) / (sqrt(v / c2) + eps) one operation at a
-    time into the scratch vectors, in that order, so the bits are those of
-    the expression."""
+    time into the scratch vectors, in that order.  ``opt.v`` holds v
+    scaled by _V_SCALE**2, and the scale is folded into eps and the step,
+    so in float64 the bits are those of the textbook expression."""
     t = opt.timestep + 1
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t
@@ -194,14 +230,15 @@ def adam_update(params, grads, opt, rate):
     np.multiply(g, 1.0 - _BETA1, out=s)
     m += s
     v *= _BETA2
-    np.square(g, out=s)
+    np.multiply(g, _V_SCALE, out=s)
+    np.square(s, out=s)
     s *= 1.0 - _BETA2
     v += s
     np.divide(m, c1, out=s)
-    s *= rate
+    s *= rate * _V_SCALE
     np.divide(v, c2, out=u)
     np.sqrt(u, out=u)
-    u += _EPS
+    u += _EPS * _V_SCALE
     s /= u
     params.flat -= s
     opt.timestep = t
@@ -218,7 +255,7 @@ def save_weights(params, path):
     body += struct.pack("<I", len(name)) + name
     body += struct.pack("<I", len(sizes))
     body += struct.pack(f"<{len(sizes)}I", *sizes)
-    body += params.flat.tobytes()
+    body += params.flat.astype(np.float64, copy=False).tobytes()
     crc = zlib.crc32(body) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(_MAGIC + body + struct.pack("<I", crc))

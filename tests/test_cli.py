@@ -58,6 +58,7 @@ BAD_CONFIGS = {
     "null epsilon_start": ({**TINY_CONFIG, "epsilon_start": None},
                            "epsilon_start"),
     "boolean lr_initial": ({**TINY_CONFIG, "lr_initial": True}, "lr_initial"),
+    "huge lr_decay": ({**TINY_CONFIG, "lr_decay": 10**400}, "lr_decay"),
     "number": (42, "JSON object"),
     "null": (None, "JSON object"),
     "string": ("episodes", "JSON object"),
@@ -368,7 +369,6 @@ class TestCompare:
         assert curve.exists()
 
     # training diverges in episode 0, as in the harness divergence test
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_curve_written_when_dqn_diverges_in_first_episode(self,
                                                               tmp_path):
         scn = tmp_path / "dead.json"

@@ -17,6 +17,7 @@ from sensorsched import (ChannelModel, DqnConfig, EpisodeRecord,
                          init_agent, init_mlp, make_policy,
                          scheduling_policy_from, train, train_step,
                          write_curve_csv)
+from sensorsched import dqn as dqn_module
 from sensorsched.dqn import fold_observation_scaling
 from sensorsched.neural import MlpParams
 from conftest import CSV_FLOATS
@@ -319,6 +320,47 @@ class TestUpdateBuffers:
         assert [agent_bytes(run[0]) for run in runs] == alone
 
 
+class TestPrecision:
+    """The networks, workspace and Adam train in float32; the replay
+    memory, targets and returned weights stay float64."""
+
+    def test_agent_is_float32_and_replay_float64(self):
+        cfg = tiny_config(minibatch_size=4)
+        agent = init_agent(5, 2, cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(2)
+        for step in acted(6):
+            train_step(agent, step, cfg, rng)
+        assert agent.opt.timestep > 0
+        for array in (agent.online.flat, agent.target.flat, agent.opt.m,
+                      agent.opt.v, agent.work.grads.flat, *agent.work.acts):
+            assert array.dtype == np.float32
+        batch = agent.replay.sample(rng)
+        for array in (batch.s, batch.r, batch.s_next, agent.work.targets):
+            assert array.dtype == np.float64
+
+    def test_weights_are_the_folded_float64_upcast(self, six_sensor_scenario,
+                                                   monkeypatch):
+        agents = []
+
+        def keep(*args):
+            agents.append(init_agent(*args))
+            return agents[-1]
+        monkeypatch.setattr(dqn_module, "init_agent", keep)
+        weights, _ = train(tiny_config(), six_sensor_scenario)
+        online = agents[0].online
+        assert online.flat.dtype == np.float32
+        assert weights.flat.dtype == np.float64
+        folded = fold_observation_scaling(online.astype(np.float64),
+                                          six_sensor_scenario)
+        assert weights.flat.tobytes() == folded.flat.tobytes()
+        # only the trace block of the first layer is rescaled
+        w0, w0_online = weights.layers[0][0], online.layers[0][0]
+        assert np.array_equal(w0[:6], w0_online[:6])
+        assert np.array_equal(w0[12:], w0_online[12:])
+        assert np.array_equal(weights.flat[w0.size:],
+                              online.flat[w0.size:])
+
+
 class TestTraining:
     def test_single_action_world_learns_exact_cost(self):
         # one sensor, one perfect channel: every step delivers, so the
@@ -469,6 +511,13 @@ class TestTraining:
     def test_typed_field_of_another_kind_names_the_field(self, name, value):
         with pytest.raises(TypeError, match=name):
             DqnConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+        DqnConfig) if f.type == "float"])
+    def test_integer_too_large_for_a_float_names_the_field(self, name):
+        # Python ints pass the kind and range checks of a float field
+        with pytest.raises(ValueError, match=name):
+            DqnConfig(**{name: 10**400})
 
     def test_numpy_scalars_pass_the_kind_checks(self):
         cfg = DqnConfig(discount=np.float32(0.9), lr_initial=np.float64(1e-3),

@@ -411,7 +411,6 @@ class TestCompareTable:
         assert [r.policy for r in rows] == [
             "random", "roundrobin", "greedy-tau", "greedy-cov", "dqn"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_training_yields_failed_cell(self):
         scn = Scenario(
             [ProcessModel([[2.0]], [[1.0]], [[1.0]], [[1.0]])],

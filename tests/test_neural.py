@@ -90,6 +90,16 @@ class TestForward:
         with pytest.raises(NumericalError):
             mlp_forward(params, np.array([np.inf, 1.0]))
 
+    def test_float32_input_past_its_range_raises(self, rng):
+        # 1e39 is finite in float64 but casts to inf in float32, without
+        # an overflow warning; the inf may meet zeros inside the BLAS
+        # kernel and flag an invalid value, which train and rollout ignore
+        params = init_mlp((2, 2), rng).astype(np.float32)
+        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+            mlp_forward(params, np.array([1e39, 1.0]))
+        assert mlp_forward(params.astype(np.float64),
+                           np.array([1e39, 1.0])).dtype == np.float64
+
     @pytest.mark.parametrize("shape", [(), (1, 4), (5, 4), (1, 1, 4)])
     def test_only_one_observation_accepted(self, rng, shape):
         # batches go through Workspace.forward
@@ -172,6 +182,25 @@ class TestGradients:
         assert np.all(gw_out[:, untouched] == 0.0)
         assert np.all(gb_out[untouched] == 0.0)
 
+    @settings(deadline=None, max_examples=60)
+    @given(sizes=layer_sizes, batch=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_float32_gradient_matches_float64_of_the_same_params(
+            self, sizes, batch, seed):
+        rng = np.random.default_rng(seed)
+        single = init_mlp(sizes, rng).astype(np.float32)
+        inputs = rng.standard_normal((batch, sizes[0]))
+        actions = rng.integers(sizes[-1], size=batch)
+        targets = rng.standard_normal(batch)
+        loss32, grads32 = fit(single, inputs, actions, targets)
+        loss64, grads64 = fit(single.astype(np.float64), inputs, actions,
+                              targets)
+        assert grads32.flat.dtype == np.float32
+        assert loss32 == pytest.approx(loss64, rel=1e-3)
+        for got, want in zip(grads32.layers, grads64.layers):
+            for g, w in zip(got, want):
+                assert relative_error(g.astype(np.float64), w) < 1e-3
+
     def test_nonfinite_targets_rejected(self, rng):
         params = init_mlp((3, 2), rng)
         with pytest.raises(NumericalError):
@@ -242,6 +271,21 @@ class TestAdam:
         # bias-corrected first step is -rate * g/|g| up to eps
         assert params.layers[0][0][0, 0] == pytest.approx(-1e-4, rel=1e-6)
         assert opt.timestep == 1
+
+    def test_float32_survives_gradients_whose_square_overflows(self):
+        # |g| = 1e25 squares to 1e50, past float32's 3.4e38: the scaled
+        # second moment keeps the update finite, with no overflow warning
+        params = init_mlp((3, 2), np.random.default_rng(0)).astype(
+            np.float32)
+        opt = init_adam(params)
+        grads = MlpParams((3, 2), np.full(8, 1e25, dtype=np.float32))
+        grads.flat[::2] *= -1.0
+        for _ in range(20):
+            before = params.flat.copy()
+            adam_update(params, grads, opt, 1e-3)
+            assert np.isfinite(opt.v).all() and np.isfinite(params.flat).all()
+        step = params.flat - before
+        assert np.allclose(step, -1e-3 * np.sign(grads.flat), rtol=1e-3)
 
     def test_state_shapes_follow_params(self, rng):
         params = init_mlp((3, 4, 2), rng)
@@ -327,7 +371,7 @@ class TestWorkspaceKernel:
             reference_adam_update(ref, ref_grads, m, v, t, rate)
             assert params.flat.tobytes() == ref.flat.tobytes()
             assert opt.m.tobytes() == m.tobytes()
-            assert opt.v.tobytes() == v.tobytes()
+            assert opt.v.tobytes() == (v * 2.0**-60).tobytes()
         # targets this far off overflow the output gradient to inf, which
         # must reach dead hidden units as inf * 0 = NaN, as in the reference
         far = np.where(targets < 0.0, 1.7e308, -1.7e308)
@@ -379,6 +423,15 @@ class TestPersistence:
         save_weights(params, p1)
         save_weights(load_weights(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_float32_params_are_saved_as_their_float64_upcast(self, rng,
+                                                             tmp_path):
+        single = init_mlp((4, 8, 3), rng).astype(np.float32)
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_weights(single, p1)
+        save_weights(single.astype(np.float64), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert np.array_equal(load_weights(p1).flat, single.flat)
 
     def test_checksum_detects_corruption(self, rng, tmp_path):
         path = tmp_path / "w.bin"

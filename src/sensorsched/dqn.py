@@ -36,51 +36,42 @@ from .neural import (MlpParams, Workspace, adam_update, init_adam, init_mlp,
                      loss_and_gradient, mlp_forward)
 
 
-def _rows(count, width):
-    """An uninitialised Transition of ``count`` rows, ``width`` features."""
-    return Transition(s=np.empty((count, width)),
-                      a=np.empty(count, dtype=np.int64), r=np.empty(count),
-                      s_next=np.empty((count, width)))
-
-
 class ReplayBuffer:
     """Bounded FIFO transition store with uniform sampling (with replacement)
-    of ``batch_size`` rows: one column per Transition field, with the k-th
-    add in row k % capacity, and the minibatch rows, both allocated here for
-    observations of ``width`` features.  ``sample`` overwrites those rows
-    and returns them."""
+    of ``batch_size`` rows.  Transitions are the rows of one record array,
+    the k-th add in row k % capacity, with fields ``s`` and ``s_next``
+    (``width`` float64 features), ``a`` (int64) and ``r`` (float64).
+    ``sample`` copies the drawn rows into a second record array and returns
+    the same Transition of views of its fields every time."""
 
     def __init__(self, capacity, batch_size, width):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.batch_size = int(batch_size)
-        self._columns = _rows(self.capacity, width)
-        self._batch = _rows(self.batch_size, width)
+        row = np.dtype([("s", np.float64, (width,)), ("a", np.int64),
+                        ("r", np.float64), ("s_next", np.float64, (width,))])
+        self._memory = np.empty(self.capacity, row)
+        self._batch = np.empty(self.batch_size, row)
+        self._sampled = Transition(**{name: self._batch[name]
+                                      for name in row.names})
         self._added = 0
 
     def __len__(self):
         return min(self._added, self.capacity)
 
     def add(self, transition):
-        row = self._added % self.capacity
-        self._columns.s[row] = transition.s
-        self._columns.a[row] = transition.a
-        self._columns.r[row] = transition.r
-        self._columns.s_next[row] = transition.s_next
+        self._memory[self._added % self.capacity] = (
+            transition.s, transition.a, transition.r, transition.s_next)
         self._added += 1
 
     def sample(self, rng):
         if not len(self):
             raise IndexError("cannot sample from an empty buffer")
         idx = rng.integers(len(self), size=self.batch_size)
-        cols, out = self._columns, self._batch
         # idx is in range, so "clip" only skips the copy "raise" makes of out
-        cols.s.take(idx, axis=0, out=out.s, mode="clip")
-        cols.a.take(idx, out=out.a, mode="clip")
-        cols.r.take(idx, out=out.r, mode="clip")
-        cols.s_next.take(idx, axis=0, out=out.s_next, mode="clip")
-        return out
+        self._memory.take(idx, out=self._batch, mode="clip")
+        return self._sampled
 
 
 _KINDS = {"int": (numbers.Integral, "an integer"),
@@ -191,7 +182,7 @@ def init_agent(obs_dim, n_actions, config, rng):
     try:
         online = init_mlp(sizes, rng).astype(np.float32)
         return AgentState(online=online, target=online.copy(),
-                          opt=init_adam(online), work=Workspace(sizes, rows),
+                          opt=init_adam(online), work=Workspace(online, rows),
                           replay=ReplayBuffer(config.replay_capacity, rows,
                                               obs_dim),
                           epsilon=config.epsilon_start)

@@ -16,10 +16,10 @@ action space of the learning agent dense and enumerable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isfinite, perm
-from operator import add
 
 import numpy as np
 
@@ -33,7 +33,12 @@ class SchedAction:
     assignment: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(int(s) for s in self.assignment))
+        try:
+            ids = tuple(operator.index(s) for s in self.assignment)
+        except TypeError:
+            raise TypeError(f"sensor ids must be integers, got "
+                            f"{self.assignment!r}") from None
+        object.__setattr__(self, "assignment", ids)
         if len(set(self.assignment)) != len(self.assignment):
             raise ValueError(f"sensors must be distinct, got {self.assignment}")
 
@@ -111,7 +116,7 @@ def total_trace(traces):
     builtin sum() compensates on Python 3.12+, so both can round
     differently.
     """
-    return reduce(add, traces.tolist(), 0.0)
+    return reduce(operator.add, traces.tolist(), 0.0)
 
 
 def env_step(scenario, state, action, chan_rngs):

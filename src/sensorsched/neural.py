@@ -80,32 +80,31 @@ def init_mlp(layer_sizes, rng):
 
 
 class Workspace:
-    """Buffers for one network at one batch size, which every batched pass
-    (``forward``, ``loss_and_gradient``, the bootstrap targets) writes
-    into: per layer the output (ReLU applied on hidden layers) and the loss
-    gradient with respect to the pre-activation, per hidden layer a boolean
-    ReLU mask, plus the gradient ``MlpParams`` and a float64 ``targets``
-    vector.  The per-layer buffers and gradient take the dtype of the
-    parameters passed to ``forward``.  Each use overwrites what the last
-    one left."""
+    """Buffers for the network ``params`` at one batch size, which every
+    batched pass (``forward``, ``loss_and_gradient``, the bootstrap
+    targets) writes into: per layer the output (ReLU applied on hidden
+    layers) and the loss gradient with respect to the pre-activation, per
+    hidden layer a boolean ReLU mask, plus the gradient ``MlpParams`` and a
+    float64 ``targets`` vector.  The per-layer buffers and the gradient
+    take the layer sizes and dtype of ``params``; ``forward`` rejects a
+    network of another dtype.  Each use overwrites what the last one
+    left."""
 
-    def __init__(self, layer_sizes, batch):
-        self.layer_sizes = tuple(layer_sizes)
-        self.targets = np.empty(batch)
-        self.rows = np.arange(batch)
-        self._allocate(np.float64)
-
-    def _allocate(self, dtype):
-        shapes = [(len(self.rows), n) for n in self.layer_sizes[1:]]
+    def __init__(self, params, batch):
+        dtype = params.flat.dtype
+        shapes = [(batch, n) for n in params.layer_sizes[1:]]
         self.acts = [np.empty(shape, dtype) for shape in shapes]
         self.d_z = [np.empty(shape, dtype) for shape in shapes]
         self.masks = [np.empty(shape, dtype=bool) for shape in shapes[:-1]]
-        self.grads = MlpParams(self.layer_sizes).astype(dtype)
+        self.grads = MlpParams(params.layer_sizes, np.zeros_like(params.flat))
+        self.targets = np.empty(batch)
+        self.rows = np.arange(batch)
 
     def forward(self, params, x):
         """Network outputs for a (B, d) batch, written into these buffers."""
         if params.flat.dtype != self.grads.flat.dtype:
-            self._allocate(params.flat.dtype)
+            raise ValueError(f"a {params.flat.dtype} network cannot use a "
+                             f"workspace built for {self.grads.flat.dtype}")
         return _forward(params, x, self.acts)
 
 

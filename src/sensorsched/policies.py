@@ -38,15 +38,15 @@ def policy_round_robin(state, rng):
 
 
 def _top_by_score(scores, m, rng):
-    # lexsort: primary key is the last one; negate for descending score
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    # descending score; the stable sort keeps ties in sensor order
+    order = np.argsort(-scores, kind="stable")
     return _assign_randomly(order[:m], rng)
 
 
 def policy_greedy_holding(state, rng):
     """Schedule the M sensors with the largest holding times."""
     m = len(state.gamma_prev)
-    return _top_by_score(state.tau.astype(np.float64), m, rng)
+    return _top_by_score(state.tau, m, rng)
 
 
 def policy_greedy_covariance(state, rng):

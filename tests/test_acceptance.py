@@ -121,9 +121,9 @@ def test_criterion_02_backprop_matches_finite_differences():
         actions = rng.integers(0, sizes[-1], size=6)
         targets = rng.normal(size=6)
         # the probe's own workspace leaves the analytic gradient intact
-        probe = Workspace(sizes, 6)
+        probe = Workspace(params, 6)
         _, grads = loss_and_gradient(params, batch, actions, targets,
-                                     Workspace(sizes, 6))
+                                     Workspace(params, 6))
         eps = 1e-6
         for li, (w, b) in enumerate(params.layers):
             gw, gb = grads.layers[li]

@@ -111,15 +111,22 @@ class TestReplayBuffer:
     def test_matches_list_model_fifo(self, capacity, adds):
         buf = ReplayBuffer(capacity, 2000, 2)
         model = []
+        rng = np.random.default_rng(adds)
         for k in range(adds):
-            buf.add(numbered(k))
-            model = (model + [k])[-capacity:]
+            # a labels the transition; the other fields are arbitrary bits
+            step = Transition(s=rng.standard_normal(2), a=k,
+                              r=rng.standard_normal(),
+                              s_next=rng.standard_normal(2))
+            buf.add(step)
+            model = (model + [step])[-capacity:]
             assert len(buf) == len(model)
-        assert stored(buf) == set(model)
+        held = {step.a: step for step in model}
+        assert stored(buf) == set(held)
         batch = buf.sample(np.random.default_rng(1))
-        assert np.array_equal(batch.s[:, 0], batch.a)
-        assert np.array_equal(batch.r, -batch.a)
-        assert np.array_equal(batch.s_next[:, 1], batch.a + 1)
+        rows = [held[k] for k in batch.a.tolist()]
+        for name in ("s", "a", "r", "s_next"):
+            want = np.array([getattr(step, name) for step in rows])
+            assert getattr(batch, name).tobytes() == want.tobytes()
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -199,7 +206,7 @@ class TestTargets:
         s1 = np.array([0.0, 1.0])
         batch = Transition(s=np.array([s0, s1]), a=np.array([0, 1]),
                            r=np.array([-3.0, 1.0]), s_next=np.array([s1, s0]))
-        z = compute_targets(params, batch, 0.9, Workspace((2, 2), 2))
+        z = compute_targets(params, batch, 0.9, Workspace(params, 2))
         assert z[0] == pytest.approx(-3.0 + 0.9 * 2.0)
         assert z[1] == pytest.approx(1.0 + 0.9 * 5.0)
 
@@ -208,7 +215,7 @@ class TestTargets:
         params = MlpParams((1, 1), np.array([7.0, 0.0]))
         batch = Transition(s=np.zeros((1, 1)), a=np.array([0]),
                            r=np.array([0.0]), s_next=np.ones((1, 1)))
-        z = compute_targets(params, batch, 0.5, Workspace((1, 1), 1))
+        z = compute_targets(params, batch, 0.5, Workspace(params, 1))
         assert z[0] == pytest.approx(3.5)
 
 

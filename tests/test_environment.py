@@ -75,6 +75,15 @@ class TestActionCodec:
         with pytest.raises(ValueError, match="distinct"):
             SchedAction((1, 1, 2))
 
+    def test_sensor_ids_must_be_integers(self):
+        # a float id is an error, not a truncation to another sensor
+        for ids in [(1.5, 2, 3), (np.float64(2.7), 1, 3), (1.0, 2)]:
+            with pytest.raises(TypeError, match="integers"):
+                SchedAction(ids)
+        action = SchedAction((np.int64(2), np.int32(1), 3))
+        assert action.assignment == (2, 1, 3)
+        assert all(type(s) is int for s in action.assignment)
+
     def test_encode_validates_entries(self):
         with pytest.raises(ValueError):
             action_encode(SchedAction((1, 7, 2)), 6, 3)

@@ -29,7 +29,7 @@ file_settings = settings(
 def fit(params, inputs, actions, targets):
     """loss_and_gradient through a workspace of its own, so the gradient
     it returns is not overwritten by a later call."""
-    work = Workspace(params.layer_sizes, len(inputs))
+    work = Workspace(params, len(inputs))
     return loss_and_gradient(params, inputs, actions, targets, work)
 
 
@@ -63,7 +63,7 @@ class TestForward:
     def test_single_and_batch_agree(self, rng):
         params = init_mlp((4, 8, 3), rng)
         x = rng.standard_normal((5, 4))
-        batch = Workspace(params.layer_sizes, 5).forward(params, x)
+        batch = Workspace(params, 5).forward(params, x)
         for i in range(5):
             assert np.allclose(mlp_forward(params, x[i]), batch[i],
                                rtol=1e-12)
@@ -152,7 +152,7 @@ class TestGradients:
         inputs = rng.standard_normal((5, 3))
         actions = rng.integers(2, size=5)
         targets = rng.standard_normal(5)
-        work = Workspace(params.layer_sizes, 5)
+        work = Workspace(params, 5)
         loss, _ = loss_and_gradient(params, inputs, actions, targets, work)
         out = work.forward(params, inputs)
         picked = out[np.arange(5), actions]
@@ -352,7 +352,7 @@ class TestWorkspaceKernel:
         ref = params.copy()
         opt = init_adam(params)
         m, v = np.zeros_like(ref.flat), np.zeros_like(ref.flat)
-        work = Workspace(sizes, batch)
+        work = Workspace(params, batch)
         for t in range(1, 51):
             inputs = rng.standard_normal((batch, sizes[0]))
             actions = rng.integers(sizes[-1], size=batch)
@@ -396,14 +396,23 @@ class TestWorkspaceKernel:
     def test_mlp_forward_matches_workspace_forward(self, rng):
         params = init_mlp((4, 6, 3), rng)
         x = rng.standard_normal(4)
-        work = Workspace(params.layer_sizes, 1)
+        work = Workspace(params, 1)
         assert mlp_forward(params, x).tobytes() == \
             work.forward(params, x[None, :])[0].tobytes()
 
     def test_batch_of_another_size_rejected(self, rng):
         params = init_mlp((4, 6, 3), rng)
         with pytest.raises(ValueError):
-            Workspace(params.layer_sizes, 5).forward(params, np.zeros((4, 4)))
+            Workspace(params, 5).forward(params, np.zeros((4, 4)))
+
+    def test_workspace_takes_its_network_dtype(self, rng):
+        params = init_mlp((4, 6, 3), rng)
+        work = Workspace(params.astype(np.float32), 2)
+        assert work.grads.layer_sizes == params.layer_sizes
+        for array in (work.grads.flat, *work.acts, *work.d_z):
+            assert array.dtype == np.float32
+        with pytest.raises(ValueError, match="float64.*float32"):
+            work.forward(params, np.zeros((2, 4)))
 
 
 class TestPersistence:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, EnvState, ProcessModel, Scenario,
                          policy_greedy_covariance, policy_greedy_holding,
@@ -123,6 +125,22 @@ class TestGreedyCovariance:
         scn = Scenario([model, model, model], [ChannelModel(0.5, 0.5)], seed=0)
         state = make_state([4, 4, 4], 1, scenario=scn)
         assert policy_greedy_covariance(state, rng).assignment == (1,)
+
+    @settings(deadline=None, max_examples=200)
+    @given(scores=st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, np.inf,
+                                            -np.inf]),
+                           min_size=1, max_size=8),
+           data=st.data())
+    def test_ties_and_signed_zeros_keep_sensor_order(self, scores, data):
+        # the same action as ordering by (-score, sensor id) explicitly
+        m = data.draw(st.integers(1, len(scores)))
+        state = replace(make_state([0] * len(scores), m),
+                        trace=np.array(scores))
+        order = np.lexsort((np.arange(len(scores)), -state.trace))[:m]
+        want = tuple(int(order[k]) + 1
+                     for k in np.random.default_rng(5).permutation(m))
+        got = policy_greedy_covariance(state, np.random.default_rng(5))
+        assert got.assignment == want
 
     def test_selection_invariant_to_monotone_score_transforms(self, rng,
                                                               six_sensor_scenario):

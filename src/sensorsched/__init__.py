@@ -13,10 +13,11 @@ from .analysis import (DiscountComparison, StabilityReport, abel_comparison,
 from .channel import (ChannelModel, channel_reset, channel_step,
                       spawn_channel_rngs)
 from .dqn import (AgentState, DqnConfig, EpisodeRecord, ReplayBuffer,
-                  act_epsilon_greedy, compute_targets, init_agent,
-                  scheduling_policy_from, train, train_step, write_curve_csv)
-from .environment import (EnvState, SchedAction, Transition, action_count,
-                          action_decode, action_encode, env_reset, env_step,
+                  Transition, act_epsilon_greedy, compute_targets,
+                  init_agent, scheduling_policy_from, train, train_step,
+                  write_curve_csv)
+from .environment import (EnvState, SchedAction, action_count, action_decode,
+                          action_encode, env_reset, env_step,
                           observation_build, rollout)
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
                      NumericalError, PersistenceError,

@@ -29,11 +29,19 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .channel import spawn_channel_rngs
-from .environment import (Transition, action_count, action_decode, env_reset,
-                          env_step, observation_build)
+from .environment import (action_count, action_decode, env_reset, env_step,
+                          observation_build)
 from .errors import NumericalError, PersistenceError, TrainingDivergedError
 from .neural import (MlpParams, Workspace, adam_update, init_adam, init_mlp,
                      loss_and_gradient, mlp_forward)
+
+
+@dataclass(frozen=True)
+class Transition:
+    s: np.ndarray
+    a: int
+    r: float
+    s_next: np.ndarray
 
 
 class ReplayBuffer:
@@ -246,11 +254,12 @@ def train(config, scenario, timing=False):
     noise, exploration, minibatch draws) derived from config.seed, so the
     whole run is reproducible bit for bit.  A non-finite episode cost or
     network output aborts with TrainingDivergedError carrying the partial
-    curve.  Each step acts on the normalized observation, advances the
-    MDP with ``env_step`` and hands the transition to ``train_step``.  The
-    returned weights are the float64 upcast of the online network and
-    consume raw observations: the trace scaling is folded into the first
-    layer before returning.
+    curve.  Each step acts on the observation with its trace block divided
+    per sensor by the holding-time-1 traces, which puts heterogeneous
+    processes on a comparable scale, advances the MDP with ``env_step`` and
+    hands the transition to ``train_step``.  The returned weights are the
+    float64 upcast of the online network and consume raw observations: the
+    same division is folded into the first layer before returning.
     """
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_env, ss_act, ss_batch = root.spawn(4)
@@ -262,12 +271,14 @@ def train(config, scenario, timing=False):
     m = len(scenario.channels)
     agent = init_agent(2 * n + m, action_count(n, m), config, rng_init)
     chan_rngs = spawn_channel_rngs(ss_env, m)
+    scale = scenario.traces.at(np.ones(n, dtype=np.int64))
 
     curve = []
     for episode in range(config.episodes):
         started = time.perf_counter() if timing else 0.0
         state = env_reset(scenario)
-        obs = observation_build(state, scenario, normalize=True)
+        obs = observation_build(state, scenario)
+        obs[n:2 * n] /= scale
         total_cost = 0.0
         # overflow ends in a typed error (non-finite network output or
         # target, or average cost), so it is not warned about
@@ -278,8 +289,8 @@ def train(config, scenario, timing=False):
                     action = action_decode(a_idx, n, m)
                     state, reward = env_step(scenario, state, action,
                                              chan_rngs)
-                    new_obs = observation_build(state, scenario,
-                                                normalize=True)
+                    new_obs = observation_build(state, scenario)
+                    new_obs[n:2 * n] /= scale
                     step = Transition(s=obs, a=a_idx, r=reward,
                                       s_next=new_obs)
                     train_step(agent, step, config, rng_batch)
@@ -305,17 +316,18 @@ def fold_observation_scaling(params, scenario):
     """Rewrite first-layer weights so the net accepts raw observations.
 
     Dividing input feature i by a constant c is equivalent to dividing row
-    i of the first weight matrix by c; applying that to the trace block
-    makes the trained network and the raw observation convention agree, so
-    saved weights need no companion scaling metadata.  Returns a float64
-    copy, folded in float64 whatever the dtype of ``params``.
+    i of the first weight matrix by c; applying that to the trace block,
+    with each sensor's trace at holding time 1 as c, makes the trained
+    network and the raw observation convention agree, so saved weights
+    need no companion scaling metadata.  Returns a float64 copy, folded in
+    float64 whatever the dtype of ``params``.
     """
     folded = params.astype(np.float64)
     w0 = folded.layers[0][0]
     n = len(scenario.processes)
     if w0.shape[0] != 2 * n + len(scenario.channels):
         raise ValueError("network input width does not match the scenario")
-    w0[n:2 * n] /= scenario.traces.at_one[:, None]
+    w0[n:2 * n] /= scenario.traces.at(np.ones(n, dtype=np.int64))[:, None]
     return folded
 
 
@@ -323,7 +335,8 @@ def scheduling_policy_from(params, scenario):
     """Greedy (state, rng) -> SchedAction policy, ties to the lowest index.
 
     Raises PersistenceError if the network does not take this scenario's
-    2N + M observation or does not output its N!/(N-M)! actions.
+    2N + M observation, does not output its N!/(N-M)! actions or holds a
+    parameter that is not finite.
     """
     n = len(scenario.processes)
     m = len(scenario.channels)
@@ -332,6 +345,8 @@ def scheduling_policy_from(params, scenario):
         raise PersistenceError(
             f"weights with layer sizes {params.layer_sizes} do not fit this "
             f"scenario: it needs {needed[0]} inputs and {needed[1]} outputs")
+    if not np.isfinite(params.flat).all():
+        raise PersistenceError("weights hold a parameter that is not finite")
 
     def policy(state, rng):
         obs = observation_build(state, scenario)

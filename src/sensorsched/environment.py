@@ -51,14 +51,6 @@ class EnvState:
     step_index: int
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-
-
 def action_count(n_sensors, n_channels):
     """Number of ordered assignments, N!/(N-M)!; needs 1 <= M <= N."""
     if not 1 <= n_channels <= n_sensors:
@@ -190,22 +182,16 @@ def rollout(scenario, policy, steps, seed):
     return costs, trace_sums, None
 
 
-def observation_build(state, scenario, normalize=False):
+def observation_build(state, scenario):
     """Flat feature vector: holding times, next-step cost traces, outcomes.
 
     The middle block holds each sensor's covariance trace at tau + 1, the
-    cost it will incur if not delivered this step.  With ``normalize`` the
-    trace block is divided per sensor by its just-delivered value
-    (trace at holding time 1), which puts heterogeneous processes on a
-    comparable scale for function approximation.  Length is 2N + M.
+    cost it will incur if not delivered this step.  Length is 2N + M.
     """
     n = len(scenario.processes)
     m = len(scenario.channels)
     obs = np.empty(2 * n + m, dtype=np.float64)
     obs[:n] = state.tau
     obs[n:2 * n] = scenario.traces.at(state.tau + 1)
-    if normalize:
-        obs[n:2 * n] /= scenario.traces.at_one
     obs[2 * n:] = state.gamma_prev
     return obs
-

@@ -178,9 +178,8 @@ class TraceTable:
     +inf (an unbounded covariance, not an error); it then repeats its last
     entry to column L - 1, which later holding times read.  L doubles when
     a row runs out of room, each row's new columns copying its last one.
-    ``at`` reads all N traces in one lookup; ``at_one`` holds them at
-    holding time 1.  Each cache points at its row; the table keeps no
-    reference to a cache.
+    ``at`` reads all N traces in one lookup.  Each cache points at its row;
+    the table keeps no reference to a cache.
     """
 
     def __init__(self, caches):
@@ -195,8 +194,6 @@ class TraceTable:
             cache._table, cache._row = self, i
             self._data[i, 0] = np.trace(cache.pbar)
             self._grow(i, _N_MAX)
-        self.at_one = self.at(np.ones(len(caches), dtype=np.int64))
-        self.at_one.setflags(write=False)
 
     def _grow(self, i, n):
         """Extend row i through holding time n, or until it freezes."""

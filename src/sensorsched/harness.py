@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import stability_check
 from .channel import ChannelModel
-from .dqn import scheduling_policy_from, train
+from .dqn import _is_kind, scheduling_policy_from, train
 # env_step is not called here; perfbench/tracing.py patches it by this name
 from .environment import env_step  # noqa: F401
 from .environment import action_count, rollout, total_trace
@@ -45,9 +45,10 @@ _MAX_ATTEMPTS = 1000
 
 @dataclass
 class Scenario:
-    """N processes and 1 <= M <= N channels, checked (ValueError) before
-    any solve.  Construction derives one steady-state cache per process (or
-    raises RiccatiConvergenceError) and ``traces``, their trace table."""
+    """N processes, 1 <= M <= N channels and an integer seed >= 0, checked
+    (ValueError) before any solve.  Construction derives one steady-state
+    cache per process (or raises RiccatiConvergenceError) and ``traces``,
+    their trace table."""
     processes: list
     channels: list
     seed: int
@@ -56,6 +57,8 @@ class Scenario:
     traces: TraceTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_kind(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         action_count(len(self.processes), len(self.channels))
         self.caches = [steady_state_covariance(p) for p in self.processes]
         self.traces = TraceTable(self.caches)
@@ -166,7 +169,7 @@ def load_scenario(path):
                      for p in data["processes"]]
         channels = [ChannelModel(p=float(c["p"]), q=float(c["q"]))
                     for c in data["channels"]]
-        seed = int(data["seed"])
+        seed = data["seed"]
         metadata = dict(data["metadata"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{path}: bad field: {exc}") from exc

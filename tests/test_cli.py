@@ -282,6 +282,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(sizes) in err and "10 inputs and 12 outputs" in err
 
+    def test_dqn_weights_not_finite_exit_io_code(self, scenario_file,
+                                                 tmp_path, capsys):
+        params = init_mlp((10, 8, 12), np.random.default_rng(0))
+        params.flat[3] = np.nan
+        wpath = tmp_path / "w.bin"
+        save_weights(params, wpath)
+        code = main(["eval", "--scenario", str(scenario_file),
+                     "--policy", "dqn", "--weights", str(wpath),
+                     "--steps", "100"])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_is_a_usage_error(self, scenario_file, steps):
         with pytest.raises(SystemExit) as info:
@@ -458,6 +471,31 @@ class TestCheckStability:
         keys = [line.split(":")[0] for line in lines]
         assert keys == ["rho_max", "q_max", "margin", "satisfied"]
         assert lines[-1].split(": ")[1] in ("true", "false")
+
+
+def test_exit_statuses_of_a_real_process(tmp_path):
+    # every other test calls main() in-process; this one goes through
+    # sys.exit(main()) in a fresh interpreter
+    src = Path(sensorsched.__file__).resolve().parents[1]
+    scn = str(tmp_path / "scn.json")
+
+    def status(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "sensorsched.cli", *args],
+            capture_output=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)}).returncode
+
+    assert status("gen-scenario", "--n", "4", "--m", "2", "--seed", "2",
+                  "--out", scn) == EXIT_OK
+    assert status("check-stability", "--scenario", scn) == EXIT_OK
+    assert status("eval", "--scenario", scn, "--policy", "random",
+                  "--steps", "0") == 2
+    assert status("gen-scenario", "--n", "4", "--m", "0",
+                  "--out", scn) == EXIT_GENERATION
+    assert status("eval", "--scenario", scn, "--policy", "random",
+                  "--steps", str(10**30)) == EXIT_TRAINING
+    assert status("check-stability", "--scenario",
+                  str(tmp_path / "missing.json")) == EXIT_IO
 
 
 def test_cli_imports_only_the_standard_library_and_numpy():

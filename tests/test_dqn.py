@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (ChannelModel, DqnConfig, EpisodeRecord,
-                         NumericalError,
+                         NumericalError, PersistenceError,
                          ProcessModel, ReplayBuffer, Scenario, Transition,
                          TrainingDivergedError, SensorSchedError, Workspace,
                          act_epsilon_greedy, compute_targets, env_reset,
@@ -53,6 +53,15 @@ def acted(count, seed=0):
     for _ in range(count):
         yield Transition(s=rng.random(5), a=int(rng.integers(2)),
                          r=-rng.random(), s_next=rng.random(5))
+
+
+def scaled_copy(raw, scenario):
+    """The observation ``train`` acts on: ``raw`` with its trace block
+    divided per sensor by the trace at holding time 1."""
+    n = len(scenario.processes)
+    scaled = raw.copy()
+    scaled[n:2 * n] /= [cache.trace_at(1) for cache in scenario.caches]
+    return scaled
 
 
 def stored(buf):
@@ -187,6 +196,14 @@ class TestActionSelection:
         # the 6x3 scenario needs 15 inputs and 120 outputs
         params = init_mlp((8, 4, 6), np.random.default_rng(0))
         with pytest.raises(SensorSchedError, match="15 inputs and 120"):
+            make_policy("dqn", six_sensor_scenario, weights=params)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_weights_not_finite_raise_persistence_error(
+            self, six_sensor_scenario, value):
+        params = init_mlp((15, 8, 120), np.random.default_rng(0))
+        params.flat[7] = value
+        with pytest.raises(PersistenceError, match="not finite"):
             make_policy("dqn", six_sensor_scenario, weights=params)
 
 
@@ -470,9 +487,28 @@ class TestTraining:
         state = env_reset(six_sensor_scenario)
         state.tau[:] = [3, 0, 7, 2, 9, 1]
         raw = observation_build(state, six_sensor_scenario)
-        scaled = observation_build(state, six_sensor_scenario, normalize=True)
         assert np.allclose(mlp_forward(folded, raw),
-                           mlp_forward(params, scaled), rtol=1e-10)
+                           mlp_forward(params, scaled_copy(
+                               raw, six_sensor_scenario)), rtol=1e-10)
+
+    def test_observation_scaling_fold_divides_by_fresh_trace(
+            self, six_sensor_scenario, rng):
+        # rows 6:12 of the first weight matrix take the trace block
+        params = init_mlp((15, 8, 120), rng)
+        for net in (params, params.astype(np.float32)):
+            w0 = net.layers[0][0].astype(np.float64)
+            folded = fold_observation_scaling(net, six_sensor_scenario)
+            got = folded.layers[0][0]
+            for i, cache in enumerate(six_sensor_scenario.caches):
+                want = w0[6 + i] / cache.trace_at(1)
+                assert got[6 + i].tobytes() == want.tobytes()
+            rest = np.r_[0:6, 12:15]
+            assert got[rest].tobytes() == w0[rest].tobytes()
+            for (w, b), (fw, fb) in zip(net.layers[1:], folded.layers[1:]):
+                assert fw.tobytes() == w.astype(np.float64).tobytes()
+                assert fb.tobytes() == b.astype(np.float64).tobytes()
+            assert folded.layers[0][1].tobytes() == \
+                net.layers[0][1].astype(np.float64).tobytes()
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -489,9 +525,9 @@ class TestTraining:
         state = env_reset(six_sensor_scenario)
         state.tau[:] = tau
         raw = observation_build(state, six_sensor_scenario)
-        scaled = observation_build(state, six_sensor_scenario, normalize=True)
         assert np.allclose(mlp_forward(folded, raw),
-                           mlp_forward(params, scaled), rtol=1e-10)
+                           mlp_forward(params, scaled_copy(
+                               raw, six_sensor_scenario)), rtol=1e-10)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -250,14 +250,11 @@ class TestStepProperties:
         assert new.trace.tobytes() == scn.traces.at(new.tau).tobytes()
         reset = env_reset(scn)
         assert reset.trace.tobytes() == scn.traces.at(reset.tau).tobytes()
-        for normalize in (False, True):
-            obs = observation_build(new, scn, normalize=normalize)
-            ref = [float(t) for t in want_tau]
-            for cache, t in zip(scn.caches, want_tau):
-                val = cache.trace_at(t + 1)
-                ref.append(val / cache.trace_at(1) if normalize else val)
-            ref += [float(g) for g in gamma]
-            assert obs.tobytes() == np.array(ref).tobytes()
+        obs = observation_build(new, scn)
+        ref = [float(t) for t in want_tau]
+        ref += [cache.trace_at(t + 1) for cache, t in zip(scn.caches, want_tau)]
+        ref += [float(g) for g in gamma]
+        assert obs.tobytes() == np.array(ref).tobytes()
 
 
 class TestObservation:
@@ -276,19 +273,6 @@ class TestObservation:
         obs = observation_build(state, six_sensor_scenario)
         assert obs[6 + 2] == pytest.approx(
             six_sensor_scenario.caches[2].trace_at(8), rel=1e-12)
-
-    def test_normalization_divides_by_fresh_trace(self, six_sensor_scenario):
-        state = env_reset(six_sensor_scenario)
-        state.tau[:] = [0, 1, 2, 3, 4, 5]
-        raw = observation_build(state, six_sensor_scenario)
-        scaled = observation_build(state, six_sensor_scenario, normalize=True)
-        for i, cache in enumerate(six_sensor_scenario.caches):
-            assert scaled[6 + i] == pytest.approx(raw[6 + i] / cache.trace_at(1),
-                                                  rel=1e-12)
-        assert np.array_equal(raw[:6], scaled[:6])
-        assert np.array_equal(raw[12:], scaled[12:])
-        # fresh sensors sit at exactly 1 on the normalized scale
-        assert scaled[6] == pytest.approx(1.0, rel=1e-12)
 
     def test_gamma_block_tracks_outcomes(self):
         scn = Scenario(

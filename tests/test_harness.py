@@ -219,6 +219,14 @@ class TestScenarioPersistence:
         with pytest.raises(MalformedFileError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("seed", [1.7, "5", True, -5])
+    def test_seed_not_a_non_negative_integer_rejected(self, tmp_path, seed):
+        path = tmp_path / "scn.json"
+        save_scenario(scenario_generate(3, 1, seed=2), path)
+        resave_scenario(path, lambda doc: doc.update(seed=seed))
+        with pytest.raises(MalformedFileError, match="seed"):
+            load_scenario(path)
+
     def test_missing_checksum_detected(self, tmp_path):
         scn = scenario_generate(3, 1, seed=2)
         path = tmp_path / "scn.json"

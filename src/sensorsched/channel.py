@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_kinds
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -20,6 +22,7 @@ class ChannelModel:
     q: float  # P(next = good | current = bad)
 
     def __post_init__(self):
+        check_kinds(self)
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
             raise ValueError(f"p and q must lie in [0, 1], got p={self.p} q={self.q}")
 

@@ -22,7 +22,6 @@ upcast to float64.
 from __future__ import annotations
 
 import csv
-import numbers
 import time
 from dataclasses import astuple, dataclass, fields, replace
 
@@ -31,7 +30,8 @@ import numpy as np
 from .channel import spawn_channel_rngs
 from .environment import (action_count, action_decode, env_reset, env_step,
                           observation_build)
-from .errors import NumericalError, PersistenceError, TrainingDivergedError
+from .errors import (NumericalError, PersistenceError, TrainingDivergedError,
+                     check_kinds, is_kind)
 from .neural import (MlpParams, Workspace, adam_update, init_adam, init_mlp,
                      loss_and_gradient, mlp_forward)
 
@@ -82,22 +82,15 @@ class ReplayBuffer:
         return self._sampled
 
 
-_KINDS = {"int": (numbers.Integral, "an integer"),
-          "float": (numbers.Real, "a number")}
 # numpy's ValueErrors for an array whose size its index type cannot hold
 _TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
-
-
-def _is_kind(value, kind=numbers.Integral):
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
 class DqnConfig:
     """Hyperparameters of ``train``.  Fields annotated ``int`` or ``float``
-    reject other kinds and booleans with a TypeError naming the field, and
-    a ``float`` field rejects an integer too large for a float with a
-    ValueError naming it."""
+    hold the kind ``errors.check_kinds`` accepts (a TypeError or ValueError
+    naming the field otherwise)."""
     discount: float = 0.95
     epsilon_start: float = 1.0
     epsilon_min: float = 0.01
@@ -113,21 +106,11 @@ class DqnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, noun = _KINDS.get(f.type, (None, None))
-            value = getattr(self, f.name)
-            if kind and not _is_kind(value, kind):
-                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
-            if f.type == "float":
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ValueError(
-                        f"{f.name} is too large for a float") from None
+        check_kinds(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.hidden_sizes, (list, tuple)) or not all(
-                _is_kind(h) and h >= 1 for h in self.hidden_sizes):
+                is_kind(h) and h >= 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be a list of positive "
                              f"integers, got {self.hidden_sizes!r}")
         if not 0.0 < self.discount < 1.0:
@@ -335,8 +318,9 @@ def scheduling_policy_from(params, scenario):
     """Greedy (state, rng) -> SchedAction policy, ties to the lowest index.
 
     Raises PersistenceError if the network does not take this scenario's
-    2N + M observation, does not output its N!/(N-M)! actions or holds a
-    parameter that is not finite.
+    2N + M observation, does not output its N!/(N-M)! actions, holds a
+    parameter that is not finite or overflows on the finite observation
+    of ``env_reset``.
     """
     n = len(scenario.processes)
     m = len(scenario.channels)
@@ -347,6 +331,15 @@ def scheduling_policy_from(params, scenario):
             f"scenario: it needs {needed[0]} inputs and {needed[1]} outputs")
     if not np.isfinite(params.flat).all():
         raise PersistenceError("weights hold a parameter that is not finite")
+    first = observation_build(env_reset(scenario), scenario)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mlp_forward(params, first)
+    except NumericalError:
+        # an overflowing first observation is the scenario's, not the net's
+        if np.isfinite(first).all():
+            raise PersistenceError("weights overflow on the first "
+                                   "observation, which is finite") from None
 
     def policy(state, rng):
         obs = observation_build(state, scenario)

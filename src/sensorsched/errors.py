@@ -1,4 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one kind rule for input fields, shared."""
+
+import numbers
+from dataclasses import fields
+
+_KINDS = {"int": (numbers.Integral, "an integer"),
+          "float": (numbers.Real, "a number"), "dict": (dict, "a dict")}
+
+
+def is_kind(value, kind=numbers.Integral):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_kinds(obj):
+    """TypeError naming an init field of dataclass ``obj`` annotated "int",
+    "float" or "dict" whose value is a bool or another kind (an integer is
+    a float); ValueError naming a float field past float range."""
+    for f in (f for f in fields(obj) if f.init):
+        kind, noun = _KINDS.get(f.type, (None, None))
+        value = getattr(obj, f.name)
+        if kind and not is_kind(value, kind):
+            raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+        if f.type == "float":
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{f.name} is too large for a float") from None
 
 
 class SensorSchedError(Exception):

@@ -18,10 +18,11 @@ and grows them, a row per process.
 from __future__ import annotations
 
 from math import isfinite
+from numbers import Real
 
 import numpy as np
 
-from .errors import RiccatiConvergenceError
+from .errors import RiccatiConvergenceError, is_kind
 
 # Relative singular-value cutoff for rank tests, absolute eigenvalue slack
 # for definiteness tests.
@@ -37,7 +38,10 @@ def _symmetrize(mat):
 
 
 def _as_matrix(value, name):
-    arr = np.array(value, dtype=np.float64)
+    entries = np.array(value, dtype=object)
+    if not all(is_kind(x, Real) for x in entries.flat):
+        raise TypeError(f"{name} entries must be numbers, got {value!r}")
+    arr = entries.astype(np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     return arr
@@ -56,12 +60,18 @@ def _psd_sqrt(mat):
 
 
 def is_observable(A, C):
-    """Rank test on the stacked observability matrix [C; CA; ...; CA^(n-1)]."""
+    """Rank test on the stacked observability matrix [C; CA; ...; CA^(n-1)];
+    ValueError if that matrix overflows."""
     n = A.shape[0]
     blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return _rank(np.vstack(blocks)) == n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            blocks.append(blocks[-1] @ A)
+    stacked = np.vstack(blocks)
+    if not np.isfinite(stacked).all():
+        raise ValueError("model matrices overflow in an observability or "
+                         "controllability test")
+    return _rank(stacked) == n
 
 
 def is_controllable(A, B):

@@ -21,13 +21,13 @@ import numpy as np
 
 from .analysis import stability_check
 from .channel import ChannelModel
-from .dqn import _is_kind, scheduling_policy_from, train
+from .dqn import scheduling_policy_from, train
 # env_step is not called here; perfbench/tracing.py patches it by this name
 from .environment import env_step  # noqa: F401
 from .environment import action_count, rollout, total_trace
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
-                     RiccatiConvergenceError,
-                     TrainingDivergedError, VersionMismatchError)
+                     RiccatiConvergenceError, TrainingDivergedError,
+                     VersionMismatchError, check_kinds, is_kind)
 from .estimation import ProcessModel, TraceTable, steady_state_covariance
 from .policies import (POLICY_NAMES, policy_greedy_covariance,
                        policy_greedy_holding, policy_random,
@@ -45,10 +45,10 @@ _MAX_ATTEMPTS = 1000
 
 @dataclass
 class Scenario:
-    """N processes, 1 <= M <= N channels and an integer seed >= 0, checked
-    (ValueError) before any solve.  Construction derives one steady-state
-    cache per process (or raises RiccatiConvergenceError) and ``traces``,
-    their trace table."""
+    """N processes, 1 <= M <= N channels, an integer seed >= 0 and dict
+    metadata, checked (TypeError, ValueError) before any solve.
+    Construction derives one steady-state cache per process (or raises
+    RiccatiConvergenceError) and ``traces``, their trace table."""
     processes: list
     channels: list
     seed: int
@@ -57,8 +57,9 @@ class Scenario:
     traces: TraceTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_kind(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_kinds(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         action_count(len(self.processes), len(self.channels))
         self.caches = [steady_state_covariance(p) for p in self.processes]
         self.traces = TraceTable(self.caches)
@@ -146,8 +147,8 @@ def save_scenario(scenario, path):
 
 
 def load_scenario(path):
-    """Parse, verify checksum and version, and rebuild the scenario; what
-    ``Scenario`` rejects (counts, a failed solve) is a MalformedFileError."""
+    """Parse, verify checksum and version, and rebuild the scenario from
+    the stored values unconverted; what they fail is a MalformedFileError."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -156,27 +157,24 @@ def load_scenario(path):
     if not isinstance(data, dict) or data.get("format") != _FORMAT:
         raise MalformedFileError(f"{path}: not a scenario file")
     version = data.get("version")
-    if version != _VERSION:
+    if not is_kind(version) or version != _VERSION:
         raise VersionMismatchError(
-            f"{path}: format version {version}, supported: {_VERSION}")
+            f"{path}: format version {version!r}, supported: {_VERSION}")
     stored = data.pop("checksum", None)
-    if stored is None:
-        raise MalformedFileError(f"{path}: missing checksum")
+    if not is_kind(stored):
+        raise MalformedFileError(f"{path}: checksum missing or not an "
+                                 f"integer: {stored!r}")
     if _payload_checksum(data) != stored:
         raise ChecksumError(f"{path}: checksum mismatch")
     try:
-        processes = [ProcessModel(p["A"], p["C"], p["W"], p["V"])
-                     for p in data["processes"]]
-        channels = [ChannelModel(p=float(c["p"]), q=float(c["q"]))
-                    for c in data["channels"]]
-        seed = data["seed"]
-        metadata = dict(data["metadata"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return Scenario([ProcessModel(p["A"], p["C"], p["W"], p["V"])
+                         for p in data["processes"]],
+                        [ChannelModel(c["p"], c["q"])
+                         for c in data["channels"]],
+                        data["seed"], data["metadata"])
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RiccatiConvergenceError) as exc:
         raise MalformedFileError(f"{path}: bad field: {exc}") from exc
-    try:
-        return Scenario(processes, channels, seed, metadata)
-    except (RiccatiConvergenceError, ValueError) as exc:
-        raise MalformedFileError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -33,6 +33,42 @@ def resave_scenario(path, edit):
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _payload_edit(edit):
+    return lambda path: resave_scenario(path, edit)
+
+
+def _float_checksum(path):
+    doc = json.loads(path.read_text())
+    doc["checksum"] = float(doc["checksum"])
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+# Rewrites of a saved scenario with 1x1 V that store a value of a kind the
+# format does not take, each with the text its error shows.  float(),
+# numpy's float64 conversion, dict() and == against an integer all once
+# let these through.
+MISKINDED = {
+    "p as a string": (_payload_edit(
+        lambda doc: doc["channels"][0].update(p="0.25")), "p must be"),
+    "q as a bool": (_payload_edit(
+        lambda doc: doc["channels"][0].update(q=True)), "q must be"),
+    "A entry as a string": (_payload_edit(
+        lambda doc: doc["processes"][0]["A"][0].__setitem__(0, "0.5")),
+        "A entries"),
+    "V as [[true]]": (_payload_edit(
+        lambda doc: doc["processes"][0].update(V=[[True]])), "V entries"),
+    "metadata as pairs": (_payload_edit(
+        lambda doc: doc.update(metadata=[["a", 1]])), "metadata must be"),
+    "metadata as an empty list": (_payload_edit(
+        lambda doc: doc.update(metadata=[])), "metadata must be"),
+    "version as a bool": (_payload_edit(
+        lambda doc: doc.update(version=True)), "version True"),
+    "version as a float": (_payload_edit(
+        lambda doc: doc.update(version=1.0)), "version 1.0"),
+    "checksum as a float": (_float_checksum, "checksum"),
+}
+
+
 @pytest.fixture
 def golden_model():
     """Scalar A=C=W=V=1; the posterior fixed point is (sqrt 5 - 1)/2."""

@@ -111,6 +111,20 @@ class TestValidationAndDeterminism:
         with pytest.raises(ValueError):
             ChannelModel(0.5, -0.1)
 
+    @pytest.mark.parametrize("p, error, shown", [
+        ("0.25", TypeError, "p must be a number"),
+        (True, TypeError, "p must be a number"),
+        (None, TypeError, "p must be a number"),
+        (10**400, ValueError, "p is too large"),
+    ], ids=["string", "bool", "None", "huge integer"])
+    def test_rate_of_another_kind_rejected(self, p, error, shown):
+        with pytest.raises(error, match=shown):
+            ChannelModel(p, 0.5)
+
+    def test_integer_rates_kept(self):
+        model = ChannelModel(0, 1)
+        assert (model.p, model.q) == (0, 1) and type(model.p) is int
+
     def test_mismatched_stream_count_rejected(self):
         models = [ChannelModel(0.5, 0.5)]
         with pytest.raises(ValueError, match="rngs"):

@@ -16,7 +16,7 @@ from sensorsched import (ChannelModel, DqnConfig, ProcessModel, Scenario,
                          save_scenario, save_weights)
 from sensorsched.cli import (EXIT_GENERATION, EXIT_IO, EXIT_OK,
                              EXIT_TRAINING, SEED_ENV_VAR, main)
-from conftest import resave_scenario
+from conftest import MISKINDED, resave_scenario
 
 # Edits that keep a scenario file well formed but leave it unusable.
 UNUSABLE_EDITS = {
@@ -295,6 +295,20 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == "" and "not finite" in captured.err
 
+    def test_dqn_weights_that_overflow_exit_io_code(self, scenario_file,
+                                                    tmp_path, capsys):
+        # every parameter is finite, but the first forward pass is not
+        params = init_mlp((10, 8, 12), np.random.default_rng(0))
+        params.flat[:] *= 1e300
+        wpath = tmp_path / "w.bin"
+        save_weights(params, wpath)
+        code = main(["eval", "--scenario", str(scenario_file),
+                     "--policy", "dqn", "--weights", str(wpath),
+                     "--steps", "100"])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflow" in captured.err
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_is_a_usage_error(self, scenario_file, steps):
         with pytest.raises(SystemExit) as info:
@@ -471,6 +485,16 @@ class TestCheckStability:
         keys = [line.split(":")[0] for line in lines]
         assert keys == ["rho_max", "q_max", "margin", "satisfied"]
         assert lines[-1].split(": ")[1] in ("true", "false")
+
+    @pytest.mark.parametrize("rewrite, shown", MISKINDED.values(),
+                             ids=MISKINDED.keys())
+    def test_value_of_another_kind_exits_io_code(self, scenario_file,
+                                                 rewrite, shown, capsys):
+        rewrite(scenario_file)
+        code = main(["check-stability", "--scenario", str(scenario_file)])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and shown in captured.err
 
 
 def test_exit_statuses_of_a_real_process(tmp_path):

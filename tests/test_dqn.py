@@ -206,6 +206,14 @@ class TestActionSelection:
         with pytest.raises(PersistenceError, match="not finite"):
             make_policy("dqn", six_sensor_scenario, weights=params)
 
+    def test_weights_that_overflow_raise_persistence_error(
+            self, six_sensor_scenario):
+        # every parameter is finite, but the first forward pass is not
+        params = init_mlp((15, 8, 120), np.random.default_rng(0))
+        params.flat[:] *= 1e300
+        with pytest.raises(PersistenceError, match="overflow"):
+            make_policy("dqn", six_sensor_scenario, weights=params)
+
 
 class _FakeAgent:
     def __init__(self, params, epsilon):
@@ -477,6 +485,19 @@ class TestTraining:
         with pytest.raises(NumericalError,
                            match=r"\(60, 1, 2432902008176640000\)"):
             train(cfg, scn)
+
+    def test_impossible_agent_sizes_are_not_an_allocation_failure(self):
+        # numpy's ValueError for a negative size is passed on as it is
+        cfg = DqnConfig(episodes=1, episode_length=1, hidden_sizes=(1,),
+                        minibatch_size=1, replay_capacity=1)
+        with pytest.raises(ValueError, match="smaller"):
+            init_agent(-1, 2, cfg, np.random.default_rng(0))
+
+    def test_observation_scaling_fold_rejects_another_width(
+            self, six_sensor_scenario, rng):
+        with pytest.raises(ValueError, match="input width"):
+            fold_observation_scaling(init_mlp((14, 8, 120), rng),
+                                     six_sensor_scenario)
 
     def test_observation_scaling_fold_is_exact(self, six_sensor_scenario,
                                                rng):

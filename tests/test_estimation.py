@@ -171,6 +171,27 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="C has 3 columns"):
             ProcessModel(np.eye(2), [[1.0, 0.0, 0.0]], np.eye(2), [[1.0]])
 
+    @pytest.mark.parametrize("mats, error, shown", [
+        ({"A": [[1.0, 0.0]]}, ValueError, "A must be square"),
+        ({"V": np.eye(2)}, ValueError, "V must be 1x1"),
+        ({"A": [[np.nan]]}, ValueError, "must be finite"),
+        ({"C": [[np.inf]]}, ValueError, "must be finite"),
+        ({"A": [[True]]}, TypeError, "A entries"),
+        ({"C": [["1.0"]]}, TypeError, "C entries"),
+        ({"W": [[None]]}, TypeError, "W entries"),
+        ({"V": [[1.0, [1.0]]]}, TypeError, "V entries"),
+    ], ids=["A not square", "V too large", "nan", "inf", "bool", "string",
+            "None", "nested list"])
+    def test_rejects_malformed_matrix(self, mats, error, shown):
+        mats = {"A": [[0.5]], "C": [[1.0]], "W": [[1.0]], "V": [[1.0]],
+                **mats}
+        with pytest.raises(error, match=shown):
+            ProcessModel(**mats)
+
+    def test_integer_entries_are_numbers(self):
+        model = ProcessModel([[1]], [[1]], [[1]], [[2]])
+        assert model.A.dtype == np.float64 and model.V[0, 0] == 2.0
+
     def test_rejects_asymmetric_v(self):
         with pytest.raises(ValueError, match="V must be symmetric"):
             ProcessModel(np.eye(2), np.eye(2), np.eye(2),

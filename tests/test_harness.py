@@ -3,7 +3,9 @@
 import copy
 import csv
 import json
+import warnings
 from functools import reduce
+from math import isnan
 from operator import getitem
 
 import numpy as np
@@ -20,7 +22,7 @@ from sensorsched import (ChannelModel, ChecksumError, CompareRow, DqnConfig,
                          make_policy, policy_random, save_scenario,
                          scenario_generate, stability_check,
                          write_compare_csv, write_eval_report)
-from conftest import CSV_FLOATS, resave_scenario
+from conftest import CSV_FLOATS, MISKINDED, resave_scenario
 
 # Replacement values for a retyped field, and for one set out of range.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
@@ -227,6 +229,27 @@ class TestScenarioPersistence:
         with pytest.raises(MalformedFileError, match="seed"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("rewrite, shown", MISKINDED.values(),
+                             ids=MISKINDED.keys())
+    def test_value_of_another_kind_rejected(self, tmp_path, rewrite, shown):
+        path = tmp_path / "scn.json"
+        save_scenario(scenario_generate(3, 2, seed=2), path)
+        rewrite(path)
+        with pytest.raises((MalformedFileError, VersionMismatchError),
+                           match=shown):
+            load_scenario(path)
+
+    def test_entry_that_overflows_the_rank_test_rejected(self, tmp_path):
+        # C @ A leaves float range, so the observability matrix does
+        path = tmp_path / "scn.json"
+        save_scenario(scenario_generate(3, 2, seed=2), path)
+        resave_scenario(path, lambda doc: doc["processes"][2]["C"][0]
+                        .__setitem__(1, 1.784079356965042e+308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedFileError, match="overflow"):
+                load_scenario(path)
+
     def test_missing_checksum_detected(self, tmp_path):
         scn = scenario_generate(3, 1, seed=2)
         path = tmp_path / "scn.json"
@@ -308,6 +331,60 @@ class TestScenarioCorruption:
             return
         report = evaluate_policy(scn, make_policy("random", scn), 5)
         assert report.steps <= 5
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_files_that_load_resave_their_values(
+            self, saved_scenario_texts, tmp_path, data):
+        def corrupt(doc):
+            path = draw_field(data, doc)
+            parent = reduce(getitem, path[:-1], doc)
+            if data.draw(st.booleans(), label="drop"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.one_of(JUNK, OUT_OF_RANGE),
+                                             label="value")
+
+        path = tmp_path / "scn.json"
+        path.write_text(data.draw(st.sampled_from(saved_scenario_texts),
+                                  label="saved"))
+        resave_scenario(path, corrupt)
+        try:
+            scn = load_scenario(path)
+        except PersistenceError:
+            return
+        stored = json.loads(path.read_text())
+        del stored["checksum"]
+        for process in stored["processes"]:
+            for name in ("W", "V"):
+                mat = np.array(process[name], dtype=np.float64)
+                process[name] = ((mat + mat.T) * 0.5).tolist()
+        saved = harness._scenario_payload(scn)
+        assert_holds_values(saved, stored)
+        numbers = [saved["version"], saved["seed"],
+                   *(c[k] for c in saved["channels"] for k in "pq"),
+                   *(x for process in saved["processes"]
+                     for mat in process.values() for row in mat for x in row)]
+        assert all(type(x) in (int, float) for x in numbers)
+
+
+def assert_holds_values(saved, stored):
+    """The same keys and list lengths; a float holds a stored integer or
+    float of its value, and anything else is the stored value of its type."""
+    if isinstance(saved, dict):
+        assert type(stored) is dict and stored.keys() == saved.keys()
+        for key in saved:
+            assert_holds_values(saved[key], stored[key])
+    elif isinstance(saved, list):
+        assert type(stored) is list and len(stored) == len(saved)
+        for item, stored_item in zip(saved, stored):
+            assert_holds_values(item, stored_item)
+    elif type(saved) is float:
+        assert type(stored) in (int, float)
+        assert float(stored) == saved or isnan(saved) and isnan(stored)
+    else:
+        assert type(stored) is type(saved) and stored == saved
 
 
 class TestEvaluation:

@@ -473,6 +473,15 @@ class TestPersistence:
         with pytest.raises(MalformedFileError, match=message):
             load_weights(path)
 
+    def test_unknown_activation_rejected(self, tmp_path):
+        # the checksum matches, so only the activation check can catch it
+        body = struct.pack("<II4sI2I", 1, 4, b"tanh", 2, 3, 2)
+        body += np.zeros(8).tobytes()
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"QNET" + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(MalformedFileError, match="unknown activation"):
+            load_weights(path)
+
     def test_truncation_rejected(self, rng, tmp_path):
         path = tmp_path / "w.bin"
         save_weights(init_mlp((3, 2), rng), path)

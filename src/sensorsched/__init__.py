@@ -16,9 +16,8 @@ from .dqn import (AgentState, DqnConfig, EpisodeRecord, ReplayBuffer,
                   Transition, act_epsilon_greedy, compute_targets,
                   init_agent, scheduling_policy_from, train, train_step,
                   write_curve_csv)
-from .environment import (EnvState, SchedAction, action_count, action_decode,
-                          action_encode, env_reset, env_step,
-                          observation_build, rollout)
+from .environment import (EnvState, action_count, action_decode, action_encode,
+                          env_reset, env_step, observation_build, rollout)
 from .errors import (ChecksumError, GenerationError, MalformedFileError,
                      NumericalError, PersistenceError,
                      RiccatiConvergenceError, SensorSchedError,

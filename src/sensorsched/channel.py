@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_kinds
+from .errors import check_kinds, is_kind
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,14 @@ class ChannelStreams:
 def spawn_channel_rngs(seed, n_channels):
     """Independent counter-based substreams, one per channel.
 
-    ``seed`` may be an int or a numpy SeedSequence.  Spawned children give
-    structural independence: streams never overlap regardless of how many
-    draws each consumes.
+    ``seed`` may be an int or a numpy SeedSequence; anything else, a bool
+    included, raises TypeError.  Spawned children give structural
+    independence: streams never overlap regardless of how many draws each
+    consumes.
     """
     if not isinstance(seed, np.random.SeedSequence):
+        if not is_kind(seed):
+            raise TypeError(f"seed must be an integer, got {seed!r}")
         seed = np.random.SeedSequence(seed)
     return ChannelStreams(np.random.Generator(np.random.Philox(child))
                           for child in seed.spawn(n_channels))

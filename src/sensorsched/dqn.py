@@ -315,12 +315,12 @@ def fold_observation_scaling(params, scenario):
 
 
 def scheduling_policy_from(params, scenario):
-    """Greedy (state, rng) -> SchedAction policy, ties to the lowest index.
+    """Greedy policy: (state, rng) -> action_decode's read-only array.
 
-    Raises PersistenceError if the network does not take this scenario's
-    2N + M observation, does not output its N!/(N-M)! actions, holds a
-    parameter that is not finite or overflows on the finite observation
-    of ``env_reset``.
+    Ties go to the lowest index.  Raises PersistenceError if the network
+    does not take this scenario's 2N + M observation, does not output its
+    N!/(N-M)! actions, holds a parameter that is not finite or overflows on
+    the finite observation of ``env_reset``.
     """
     n = len(scenario.processes)
     m = len(scenario.channels)

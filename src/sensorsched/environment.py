@@ -1,10 +1,11 @@
 """Scheduling MDP: state, ordered sensor-to-channel actions, step dynamics.
 
 At each step the scheduler sees the previous step's holding times and
-channel outcomes, assigns M distinct sensors (1-based ids) to the M
-channels, the channels advance their loss chains, and every scheduled
-sensor whose channel came up good has its holding time reset to zero while
-all other holding times grow by one.  The reward is minus the total error
+channel outcomes and picks an action: an integer numpy array of M distinct
+1-based sensor ids, entry m being the sensor sent on channel m.  The
+channels advance their loss chains, and every scheduled sensor whose
+channel came up good has its holding time reset to zero while all other
+holding times grow by one.  The reward is minus the total error
 covariance trace at the new holding times, so maximizing reward minimizes
 estimation cost.  There is no terminal state.  ``rollout`` runs a policy
 along one trajectory of this MDP; every policy evaluation goes through it.
@@ -24,23 +25,7 @@ from math import isfinite, perm
 import numpy as np
 
 from .channel import channel_reset, channel_step, spawn_channel_rngs
-from .errors import NumericalError
-
-
-@dataclass(frozen=True)
-class SchedAction:
-    """assignment[m] = 1-based id of the sensor transmitting on channel m."""
-    assignment: tuple
-
-    def __post_init__(self):
-        try:
-            ids = tuple(operator.index(s) for s in self.assignment)
-        except TypeError:
-            raise TypeError(f"sensor ids must be integers, got "
-                            f"{self.assignment!r}") from None
-        object.__setattr__(self, "assignment", ids)
-        if len(set(self.assignment)) != len(self.assignment):
-            raise ValueError(f"sensors must be distinct, got {self.assignment}")
+from .errors import NumericalError, is_kind
 
 
 @dataclass
@@ -61,10 +46,12 @@ def action_count(n_sensors, n_channels):
 
 @lru_cache(maxsize=4096, typed=True)
 def action_decode(index, n_sensors, n_channels):
-    """index -> SchedAction, lexicographic over assignment tuples.
+    """index -> action, lexicographic over the arrays of sensor ids.
 
-    Memoized: SchedAction is frozen, so callers may share instances.  A
-    rejected index raises every time, since exceptions are not cached."""
+    Memoized, so callers share each array and it is read-only.  A rejected
+    index raises every time, since exceptions are not cached."""
+    if not is_kind(index):
+        raise TypeError(f"action index must be an integer, got {index!r}")
     total = action_count(n_sensors, n_channels)
     if not 0 <= index < total:
         raise ValueError(f"action index {index} outside [0, {total})")
@@ -74,17 +61,21 @@ def action_decode(index, n_sensors, n_channels):
         block = perm(n_sensors - 1 - pos, n_channels - 1 - pos)
         slot, index = divmod(index, block)
         chosen.append(available.pop(slot))
-    return SchedAction(tuple(chosen))
+    action = np.array(chosen)
+    action.flags.writeable = False
+    return action
 
 
 def action_encode(action, n_sensors, n_channels):
-    """SchedAction -> index; inverse of action_decode."""
-    if len(action.assignment) != n_channels:
+    """Sequence of sensor ids -> index; inverse of action_decode."""
+    if len(action) != n_channels:
         raise ValueError(
-            f"action has {len(action.assignment)} entries, expected {n_channels}")
+            f"action has {len(action)} entries, expected {n_channels}")
     available = list(range(1, n_sensors + 1))
     index = 0
-    for pos, sensor in enumerate(action.assignment):
+    for pos, sensor in enumerate(action):
+        if not is_kind(sensor):
+            raise TypeError(f"sensor ids must be integers, got {sensor!r}")
         if sensor not in available:
             raise ValueError(f"sensor id {sensor} invalid or repeated")
         slot = available.index(sensor)
@@ -115,19 +106,26 @@ def env_step(scenario, state, action, chan_rngs):
     """One transition; returns (new state, reward).
 
     Channel chains advance regardless of which sensors were scheduled: the
-    loss process is a property of the radio environment, not of use.
+    loss process is a property of the radio environment, not of use.  Before
+    they do, an action that is not an integer numpy array raises TypeError,
+    and one whose shape is not (M,) or whose ids are not distinct and in
+    1..N raises ValueError.
     """
     n = len(scenario.processes)
     m = len(scenario.channels)
-    assignment = action.assignment
-    if len(assignment) != m:
-        raise ValueError(f"action assigns {len(assignment)} channels, expected {m}")
-    for sensor in assignment:
+    if not isinstance(action, np.ndarray) or action.dtype.kind not in "iu":
+        raise TypeError(f"an action is an array of integers, got {action!r}")
+    if action.shape != (m,):
+        raise ValueError(f"action has shape {action.shape}, expected ({m},)")
+    ids = action.tolist()
+    for sensor in ids:
         if not 1 <= sensor <= n:
             raise ValueError(f"sensor id {sensor} outside 1..{n}")
+    if len(set(ids)) != m:
+        raise ValueError(f"sensors must be distinct, got {ids}")
     gamma = channel_step(scenario.channels, state.gamma_prev, chan_rngs)
     tau = state.tau + 1
-    for sensor, good in zip(assignment, gamma.tolist()):
+    for sensor, good in zip(ids, gamma.tolist()):
         if good:
             tau[sensor - 1] = 0
     trace = scenario.traces.at(tau)
@@ -158,8 +156,11 @@ def rollout(scenario, policy, steps, seed):
     what matters for a continuing task.  A non-finite cost stops the run,
     and so does a NumericalError from the policy: a learned policy reads
     the traces, and once those overflow its network cannot evaluate.
-    Too few ``steps`` raise ValueError, too many to allocate NumericalError.
+    Too few ``steps`` raise ValueError, too many to allocate NumericalError,
+    and a ``seed`` that is not an integer (a bool included) TypeError.
     """
+    if not is_kind(seed):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     costs = step_buffer(steps)
     ss_chan, ss_policy = np.random.SeedSequence(seed).spawn(2)
     chan_rngs = spawn_channel_rngs(ss_chan, len(scenario.channels))

@@ -188,7 +188,7 @@ class EvalReport:
 
 
 def make_policy(name, scenario, weights=None):
-    """Policy factory: (EnvState, rng) -> SchedAction closures by name."""
+    """Policy factory: (EnvState, rng) -> sensor-id array closures by name."""
     if name == "random":
         return policy_random
     if name == "roundrobin":

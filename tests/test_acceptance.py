@@ -210,10 +210,10 @@ def test_criterion_05_action_codec_exhaustive_bijection():
     seen = set()
     for code in range(total):
         action = action_decode(code, n, m)
-        assert len(set(action.assignment)) == m
-        assert all(1 <= s <= n for s in action.assignment)
+        assert len(set(action.tolist())) == m
+        assert all(1 <= s <= n for s in action.tolist())
         assert action_encode(action, n, m) == code
-        seen.add(action.assignment)
+        seen.add(tuple(action.tolist()))
     print(f"\n  {total} codes decoded, {len(seen)} distinct assignments, "
           f"all re-encoded to themselves")
     assert len(seen) == 120

@@ -189,7 +189,7 @@ class TestActionSelection:
         policy = scheduling_policy_from(params, two_sensor_scenario)
         action = policy(env_reset(two_sensor_scenario),
                         np.random.default_rng(0))
-        assert action.assignment == (2,)
+        assert action.tolist() == [2]
 
     def test_weights_of_another_shape_raise_typed_error(self,
                                                         six_sensor_scenario):
@@ -408,7 +408,7 @@ class TestTraining:
             assert rec.avg_cost == pytest.approx(steady, rel=1e-9)
         policy = scheduling_policy_from(weights, scn)
         action = policy(env_reset(scn), np.random.default_rng(0))
-        assert action.assignment == (1,)
+        assert action.tolist() == [1]
 
     def test_bit_identical_reruns(self, six_sensor_scenario):
         cfg = tiny_config(episodes=3, episode_length=40)

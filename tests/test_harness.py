@@ -18,10 +18,12 @@ from sensorsched import (ChannelModel, ChecksumError, CompareRow, DqnConfig,
                          PersistenceError, ProcessModel,
                          RiccatiConvergenceError, Scenario,
                          TrainingDivergedError, VersionMismatchError,
-                         compare_all, evaluate_policy, harness, load_scenario,
+                         compare_all, discounted_vs_average,
+                         evaluate_policy, harness, load_scenario,
                          make_policy, policy_random, save_scenario,
                          scenario_generate, stability_check,
-                         write_compare_csv, write_eval_report)
+                         threshold_policy_running_cost, write_compare_csv,
+                         write_eval_report)
 from conftest import CSV_FLOATS, MISKINDED, resave_scenario
 
 # Replacement values for a retyped field, and for one set out of range.
@@ -460,6 +462,19 @@ class TestEvaluation:
         # numpy refuses 10**20 entries before it allocates anything
         with pytest.raises(NumericalError, match=str(10**20)):
             evaluate_policy(six_sensor_scenario, policy_random, 10**20)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1", None])
+    @pytest.mark.parametrize("run", [
+        lambda scn, seed: evaluate_policy(scn, policy_random, 3, seed=seed),
+        lambda scn, seed: discounted_vs_average(scn, policy_random, [0.5], 3,
+                                                seed=seed),
+        lambda scn, seed: threshold_policy_running_cost(scn, 0, 3, seed=seed),
+    ], ids=["evaluate_policy", "discounted_vs_average", "threshold_rule"])
+    def test_run_seed_of_another_kind_rejected(self, six_sensor_scenario,
+                                               run, seed):
+        # a bool seed once ran as seed 1, and None as a fresh random seed
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            run(six_sensor_scenario, seed)
 
     def test_make_policy_rejects_unknown(self, six_sensor_scenario):
         with pytest.raises(ValueError):
